@@ -109,14 +109,15 @@ class ArchiveReader {
     const auto n = get<std::uint64_t>();
     OMPC_CHECK(pos_ + n * sizeof(T) <= data_.size());
     std::vector<T> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    // An empty vector's data() may be null: memcpy(nullptr, ..., 0) is UB.
+    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }
 
   void get_raw(void* out, std::size_t n) {
     OMPC_CHECK(pos_ + n <= data_.size());
-    std::memcpy(out, data_.data() + pos_, n);
+    if (n != 0) std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
   }
 

@@ -175,6 +175,11 @@ bool OriginEvent::done() const {
   return done_;
 }
 
+bool OriginEvent::wait_for(std::chrono::milliseconds timeout) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  return cv_.wait_for(lock, timeout, [this] { return done_; });
+}
+
 void OriginEvent::complete(Bytes result) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -208,7 +213,9 @@ EventSystem::EventSystem(mpi::RankContext& ctx, const ClusterOptions& opts,
       control_(ctx.comm(0)),
       memory_(memory),
       exec_pool_(exec_pool),
-      replica_(replica) {
+      replica_(replica),
+      waker_(std::make_shared<Waker>()) {
+  waker_->es = this;
   OMPC_CHECK_MSG(ctx.universe().options().comms >= 1 + opts.vci,
                  "universe must pre-create 1 control + vci data comms");
   OMPC_CHECK_MSG(rank_ < kMaxChannelRanks,
@@ -244,8 +251,15 @@ EventSystem::~EventSystem() {
     bye.origin = rank_;
     control_.isend_bytes(bye.serialize(), rank_, kTagNewEvent);
   }
-  gate_.join();
-  for (auto& h : handlers_) h.join();
+  join();
+  std::lock_guard<std::mutex> lock(waker_->mutex);
+  waker_->es = nullptr;
+}
+
+void EventSystem::join() {
+  if (gate_.joinable()) gate_.join();
+  for (auto& h : handlers_)
+    if (h.joinable()) h.join();
 }
 
 mpi::Comm EventSystem::data_comm_for(mpi::Tag tag) const {
@@ -364,6 +378,7 @@ void EventSystem::fail_local() {
   // No cancel here: the poison that killed this rank already killed its
   // posted receives; fail() force-completes any landing-buffer request.
   for (auto& ev : victims) ev->fail(rank_);
+  wake_all_parked();
 }
 
 void EventSystem::fail_rank(mpi::Rank dead) {
@@ -388,6 +403,7 @@ void EventSystem::fail_rank(mpi::Rank dead) {
     control_.cancel(ev->data_request_);
     ev->fail(dead);
   }
+  wake_all_parked();
 }
 
 void EventSystem::announce_rank_dead(mpi::Rank dead) {
@@ -436,14 +452,14 @@ void EventSystem::shutdown_cluster() {
       continue;
     acks.push_back(start(w, EventKind::Shutdown, {}));
   }
-  // Poll rather than block: a rank can die mid-handshake, after every
-  // failure detector has already been stopped — its ack will never come,
-  // and nobody is left to fail the event. Liveness comes straight from the
-  // universe here (an abandoned shutdown ack needs no recovery).
+  // Bounded waits, re-checking liveness each millisecond: a rank can die
+  // mid-handshake, after every failure detector has already been stopped —
+  // its ack will never come, and nobody is left to fail the event.
+  // Liveness comes straight from the universe here (an abandoned shutdown
+  // ack needs no recovery).
   for (auto& ev : acks) {
-    while (!ev->done()) {
+    while (!ev->wait_for(std::chrono::milliseconds(1))) {
       if (control_.universe().is_dead(ev->dest())) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
 
@@ -461,7 +477,12 @@ void EventSystem::wait_until_stopped() {
 }
 
 void EventSystem::stop_local() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under the queue mutex: a handler evaluating its exit predicate
+    // either sees stop_ or is already waiting when the notify lands.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    stop_.store(true, std::memory_order_release);
+  }
   queue_cv_.notify_all();
   {
     std::lock_guard<std::mutex> lock(stopped_mutex_);
@@ -504,9 +525,9 @@ void EventSystem::gate_main() {
           // retires every channel tag on recovery anyway: drop the cache
           // wholesale so no pre-posted slot outlives the failure.
           clear_channels();
-          // Re-queue events already parked on pending I/O so handlers
-          // re-evaluate them against the updated dead set promptly.
-          queue_cv_.notify_all();
+          // Re-queue events parked on pending I/O so handlers re-evaluate
+          // them against the updated dead set (exchange halves abort).
+          wake_all_parked();
           continue;
         }
         RemoteEvent ev;
@@ -547,39 +568,112 @@ void EventSystem::gate_main() {
 void EventSystem::handler_main(int /*index*/) {
   for (;;) {
     RemoteEvent ev;
+    std::uint64_t epoch = 0;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stop_.load() || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop and drained
+      // A parked event still owes its origin a completion: exit at stop
+      // only once nothing is queued or parked.
+      queue_cv_.wait(lock, [this] {
+        return !queue_.empty() || (stop_.load() && parked_.empty());
+      });
+      if (queue_.empty()) return;
       ev = std::move(queue_.front());
       queue_.pop_front();
+      ++active_events_;
+      epoch = wake_epoch_;
     }
-    bool finished = true;
-    bool died = false;
-    // The active counter is held only while inside progress() so a parked
-    // event backing off does not starve TrimHeap's only-active-event gate.
-    active_events_.fetch_add(1, std::memory_order_acq_rel);
+    bool parks = false;
     try {
-      finished = progress(ev);
+      parks = !progress(ev);
+      if (!parks) stats_.handled.fetch_add(1, std::memory_order_relaxed);
     } catch (const mpi::RankKilledError&) {
       // This rank died while executing the event; abandon it and keep
       // draining so the queue empties and the handler can exit at stop.
-      died = true;
     }
-    active_events_.fetch_sub(1, std::memory_order_acq_rel);
-    if (died) continue;
-    if (finished) {
-      stats_.handled.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Pending I/O: back off with a real OS sleep so a lone pending event
-      // doesn't turn the handler pool into a spin storm (precise_sleep
-      // would spin for a wait this short), then requeue (step 5b, Fig 3).
-      // 200 us of poll granularity is noise against millisecond transfers.
-      stats_.reenqueued.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      enqueue_remote(std::move(ev));
+    // Pending I/O (step 5b, Fig 3): park the event; the completion hook of
+    // the request it waits on re-queues it. Read the request before
+    // parking — once parked, another handler may own the event.
+    const auto waits_on = parks ? pending_request(ev) : nullptr;
+    std::uint64_t id = 0;
+    bool notify_all = false;
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      --active_events_;
+      if (parks) {
+        stats_.parked.fetch_add(1, std::memory_order_relaxed);
+        if (ev.id == 0) ev.id = ++next_event_id_;
+        id = ev.id;
+        if (wake_epoch_ != epoch) {
+          // A rank died while this event was in progress(): re-check it.
+          stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
+          queue_.push_back(std::move(ev));
+          notify_all = true;
+        } else {
+          parked_.emplace(id, std::move(ev));
+          if (waits_on == nullptr) idle_waiters_.push_back(id);
+        }
+      }
+      notify_all = wake_idle_waiters_locked() || notify_all ||
+                   (stop_.load() && parked_.empty());
+    }
+    if (notify_all) queue_cv_.notify_all();
+    if (waits_on != nullptr) {
+      // Fires inline if the request completed since progress() tested it.
+      waits_on->on_complete([w = waker_, id] {
+        std::lock_guard<std::mutex> lock(w->mutex);
+        if (w->es != nullptr) w->es->wake(id);
+      });
     }
   }
+}
+
+std::shared_ptr<mpi::detail::RequestState> EventSystem::pending_request(
+    const RemoteEvent& ev) {
+  if (ev.put_channel != nullptr) return ev.put_channel->pr.state();
+  if (ev.recv_channel != nullptr) return ev.recv_channel->pr.state();
+  return ev.io.state();
+}
+
+void EventSystem::wake(std::uint64_t id) {
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    const auto it = parked_.find(id);
+    if (it == parked_.end()) return;  // re-queued by a rank death already
+    queue_.push_back(std::move(it->second));
+    parked_.erase(it);
+    stats_.wakeups.fetch_add(1, std::memory_order_relaxed);
+  }
+  queue_cv_.notify_one();
+}
+
+void EventSystem::wake_all_parked() {
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    ++wake_epoch_;
+    for (auto& [id, ev] : parked_) {
+      (void)id;
+      queue_.push_back(std::move(ev));
+    }
+    stats_.wakeups.fetch_add(static_cast<std::int64_t>(parked_.size()),
+                             std::memory_order_relaxed);
+    parked_.clear();
+    idle_waiters_.clear();
+  }
+  queue_cv_.notify_all();
+}
+
+bool EventSystem::wake_idle_waiters_locked() {
+  if (idle_waiters_.empty() || !queue_.empty() || active_events_ != 0)
+    return false;
+  for (const std::uint64_t id : idle_waiters_) {
+    const auto it = parked_.find(id);
+    queue_.push_back(std::move(it->second));
+    parked_.erase(it);
+  }
+  stats_.wakeups.fetch_add(static_cast<std::int64_t>(idle_waiters_.size()),
+                           std::memory_order_relaxed);
+  idle_waiters_.clear();
+  return true;
 }
 
 void EventSystem::send_completion(mpi::Rank to, mpi::Tag tag, Bytes result) {
@@ -910,7 +1004,7 @@ bool EventSystem::progress(RemoteEvent& ev) {
       }
       if (!landed) {
         // A payload from a dead peer will never arrive; abort the event
-        // instead of re-enqueueing it forever. The head has already failed
+        // instead of parking it forever. The head has already failed
         // the origin half, so this completion is dropped there as late.
         // A dead *origin* aborts too: a head that died after starting this
         // half but before starting the matching send leaves the payload
@@ -963,12 +1057,12 @@ bool EventSystem::progress(RemoteEvent& ev) {
       // Heap reconciliation after failover frees blocks in bulk, so it must
       // not run concurrently with an event that may touch one (an Execute
       // dispatched by the dead head and still in flight). Defer until this
-      // is the only active event and the queue is drained.
+      // is the only active event and the queue is drained (parked, it is
+      // re-queued as soon as that can hold — see wake_idle_waiters_locked).
       {
         std::lock_guard<std::mutex> lock(queue_mutex_);
-        if (!queue_.empty()) return false;
+        if (!queue_.empty() || active_events_ != 1) return false;
       }
-      if (active_events_.load(std::memory_order_acquire) != 1) return false;
       const auto h = header.get<TrimHeapHeader>();
       std::vector<offload::TargetPtr> keep;
       keep.reserve(h.keep_count);

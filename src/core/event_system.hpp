@@ -4,8 +4,9 @@
 //  - a *gate thread* owns the control communicator: it receives new-event
 //    notifications (enqueuing the destination half of each event) and
 //    completion notifications (waking the origin waiter);
-//  - a pool of *event handlers* executes queued events as poll-driven state
-//    machines, re-enqueueing any event with pending I/O;
+//  - a pool of *event handlers* executes queued events as state machines;
+//    an event with pending I/O is parked, and the completion hook of the
+//    request it waits on puts it back on the queue (no polling);
 //  - origin threads (the head's helper threads) create events, each with a
 //    unique tag; every data message of an event travels on a data
 //    communicator chosen round-robin by that tag (the VCI striping of
@@ -13,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -130,6 +132,9 @@ class OriginEvent {
  private:
   friend class EventSystem;
 
+  /// Blocks for at most `timeout`; returns done().
+  bool wait_for(std::chrono::milliseconds timeout);
+
   void complete(Bytes result);
 
   /// Completes exceptionally: `dead` (dest or peer) died. wait() throws.
@@ -155,7 +160,8 @@ using OriginEventPtr = std::shared_ptr<OriginEvent>;
 struct EventSystemStats {
   std::atomic<std::int64_t> originated{0};
   std::atomic<std::int64_t> handled{0};
-  std::atomic<std::int64_t> reenqueued{0};
+  std::atomic<std::int64_t> parked{0};   ///< progress() left I/O pending
+  std::atomic<std::int64_t> wakeups{0};  ///< parked events put back on the queue
   std::atomic<std::int64_t> kernels_run{0};
 };
 
@@ -243,6 +249,10 @@ class EventSystem {
   /// Blocks the worker main thread until a Shutdown event arrives.
   void wait_until_stopped();
 
+  /// Joins the gate and handler threads of a stopped system; stats() are
+  /// final afterwards. The destructor calls it.
+  void join();
+
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
 
   const EventSystemStats& stats() const { return stats_; }
@@ -278,6 +288,7 @@ class EventSystem {
   /// Destination half of an event (the E_D of Figure 3).
   struct RemoteEvent {
     EventAnnounce announce;
+    std::uint64_t id = 0;  ///< parking key, assigned when first parked
     int phase = 0;
     mpi::Request io;  ///< pending irecv for Submit / ExchangeRecv
     std::shared_ptr<Bytes> blob;  ///< HeadState payload landing buffer
@@ -309,6 +320,23 @@ class EventSystem {
 
   void gate_main();
   void handler_main(int index);
+
+  /// The request a pending event waits on; null for TrimHeap, which waits
+  /// for the handlers to go idle instead.
+  static std::shared_ptr<mpi::detail::RequestState> pending_request(
+      const RemoteEvent& ev);
+
+  /// Completion hook target: moves parked event `id` back onto the queue
+  /// (no-op if it is no longer parked).
+  void wake(std::uint64_t id);
+
+  /// Re-queues every parked event (a rank died: pending exchange halves
+  /// must re-check their peers and abort).
+  void wake_all_parked();
+
+  /// Re-queues the idle waiters once the queue is drained and no event is
+  /// inside progress(). Needs queue_mutex_; true if any was re-queued.
+  bool wake_idle_waiters_locked();
 
   /// This rank died (gate caught RankKilledError): declare self dead and
   /// fail every outstanding origin event, so origin waiters unblock —
@@ -348,12 +376,28 @@ class EventSystem {
   std::map<PutKey, std::shared_ptr<PutChannel>> put_channels_;
   std::unordered_map<mpi::Tag, std::shared_ptr<RecvChannel>> recv_channels_;
 
-  // Local destination-event queue. active_events_ counts events currently
-  // inside progress() — TrimHeap defers until it is the only one.
+  // Local destination-event queue and parked events, all under
+  // queue_mutex_. active_events_ counts events currently inside progress()
+  // — TrimHeap defers until it is the only one; idle_waiters_ are the
+  // parked events waiting for that. wake_epoch_ counts wake_all_parked()
+  // calls, so an event parking concurrently with one re-queues instead.
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<RemoteEvent> queue_;
-  std::atomic<int> active_events_{0};
+  std::unordered_map<std::uint64_t, RemoteEvent> parked_;
+  std::vector<std::uint64_t> idle_waiters_;
+  std::uint64_t next_event_id_ = 0;
+  std::uint64_t wake_epoch_ = 0;
+  int active_events_ = 0;
+
+  // Completion hooks hold this, not the EventSystem: a hook can fire on the
+  // delivery or drain thread after the system is gone (the destructor
+  // nulls `es`).
+  struct Waker {
+    std::mutex mutex;
+    EventSystem* es = nullptr;
+  };
+  std::shared_ptr<Waker> waker_;
 
   std::atomic<bool> stop_{false};
   std::mutex stopped_mutex_;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <span>
@@ -95,7 +96,7 @@ class ClusterGraph {
   bool empty() const noexcept { return tasks_.empty(); }
   const ClusterTask& task(int id) const { return tasks_[static_cast<std::size_t>(id)]; }
   ClusterTask& task(int id) { return tasks_[static_cast<std::size_t>(id)]; }
-  const std::vector<ClusterTask>& tasks() const noexcept { return tasks_; }
+  const std::deque<ClusterTask>& tasks() const noexcept { return tasks_; }
   const std::vector<Edge>& edges() const noexcept { return edges_; }
 
   /// Entry tasks (no predecessors). Valid after build_edges().
@@ -138,7 +139,9 @@ class ClusterGraph {
  private:
   std::function<std::size_t(const void*)> buffer_size_;
   TenantId tenant_ = kDefaultTenant;
-  std::vector<ClusterTask> tasks_;
+  // A deque, not a vector: recording a wave never reallocates and copies
+  // the tasks recorded so far, so the head's heap peak stays one graph.
+  std::deque<ClusterTask> tasks_;
   std::vector<Edge> edges_;
   bool edges_built_ = false;
 };

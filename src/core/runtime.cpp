@@ -1507,6 +1507,16 @@ RuntimeStats launch(const ClusterOptions& opts,
   // re-establishment; see membership.hpp).
   MembershipBus bus;
 
+  // Every rank adds its event system's counters once its threads joined.
+  EventSystemStats event_totals;
+  const auto add_event_totals = [&event_totals](EventSystem& es) {
+    es.join();
+    const EventSystemStats& s = es.stats();
+    event_totals.handled += s.handled.load();
+    event_totals.parked += s.parked.load();
+    event_totals.wakeups += s.wakeups.load();
+  };
+
   mpi::Universe universe(uopts);
   universe.run([&](mpi::RankContext& ctx) {
     if (ctx.rank() == 0) {
@@ -1637,6 +1647,7 @@ RuntimeStats launch(const ClusterOptions& opts,
       }
       stats.shutdown_ns = shutdown.elapsed_ns();
       if (error) std::rethrow_exception(error);
+      add_event_totals(events);
 
       // Merge head-side counters.
       rt.refresh_derived_stats();
@@ -1712,9 +1723,13 @@ RuntimeStats launch(const ClusterOptions& opts,
       // use-after-free. Wait for the control thread to finish completely.
       if (bus.epoch() > 0 && bus.current_head() == ctx.rank())
         bus.await_control_release();
+      add_event_totals(events);
     }
   });
 
+  stats.events_handled = event_totals.handled.load();
+  stats.events_parked = event_totals.parked.load();
+  stats.event_wakeups = event_totals.wakeups.load();
   stats.messages_sent = universe.messages_sent();
   stats.payload_copies = mpi::payload_copies() - payload_copies_before;
   stats.wall_ns = wall.elapsed_ns();

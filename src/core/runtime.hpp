@@ -53,6 +53,10 @@ struct RuntimeStats {
   std::int64_t host_tasks = 0;
 
   std::int64_t events_originated = 0;
+  // Destination halves, summed over every rank's event system.
+  std::int64_t events_handled = 0;  ///< events run to completion
+  std::int64_t events_parked = 0;   ///< times an event waited on pending I/O
+  std::int64_t event_wakeups = 0;   ///< parked events put back on the queue
   std::int64_t submits = 0;
   std::int64_t retrieves = 0;
   std::int64_t exchanges = 0;

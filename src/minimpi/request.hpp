@@ -22,13 +22,17 @@ namespace ompc::mpi {
 namespace detail {
 
 /// Shared completion state. The matching engine fills `status` and flips
-/// `done` under `mutex`; waiters block on `cv`.
+/// `done` under `mutex`; waiters block on `cv`, and a completion-driven
+/// progress engine registers a one-shot hook instead of polling test().
 struct RequestState {
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
   Rank killed_rank = -1;  ///< >= 0: completed by poison, wait() throws
   Status status;
+  /// One-shot completion hook: fired once, outside `mutex`, by whichever
+  /// of complete()/kill() finishes the operation (on the delivering thread).
+  std::function<void()> on_done;
 
   // Receive-side destination; unused (empty) for send requests.
   std::byte* buffer = nullptr;
@@ -48,24 +52,45 @@ struct RequestState {
   bool persistent = false;
 
   void complete(const Status& st) {
+    std::function<void()> hook;
     {
       std::lock_guard<std::mutex> lock(mutex);
       status = st;
       done = true;
+      hook.swap(on_done);
     }
     cv.notify_all();
+    if (hook) hook();
   }
 
   /// Fault injection: completes the request exceptionally — the owning rank
   /// died, so waiters must unwind rather than block forever.
   void kill(Rank rank) {
+    std::function<void()> hook;
     {
       std::lock_guard<std::mutex> lock(mutex);
       if (done) return;  // already matched; the data won a race with death
       killed_rank = rank;
       done = true;
+      hook.swap(on_done);
     }
     cv.notify_all();
+    if (hook) hook();
+  }
+
+  /// Registers the completion hook (replacing an unfired one). On a request
+  /// that is already done the hook runs inline, on the caller's thread; a
+  /// cancelled receive never fires it, and a persistent request's next
+  /// start() discards one that never fired.
+  void on_complete(std::function<void()> hook) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!done) {
+        on_done = std::move(hook);
+        return;
+      }
+    }
+    hook();
   }
 };
 
@@ -164,6 +189,7 @@ class PersistentRequest {
       armed_ = false;
       state_->done = false;
       state_->status = Status{};
+      state_->on_done = nullptr;  // each cycle starts with no hook
     }
     arm_();  // may throw (poisoned mailbox, dead peer): stays disarmed
     armed_ = true;

@@ -163,7 +163,6 @@ class ShmConduit final : public Conduit {
     if (env.delivered)
       env.delivered->complete(Status{
           env.src, env.tag, static_cast<std::size_t>(h.payload_size)});
-    cv_.notify_one();
   }
 
   std::int64_t submitted() const noexcept override {
@@ -216,8 +215,10 @@ class ShmConduit final : public Conduit {
   }
 
   /// Producer side: copies `n` bytes into the ring, wrapping and stalling
-  /// for space as needed (the drain thread always frees space).
-  static void ring_write(Ring& ring, const std::byte* src, std::size_t n) {
+  /// for space as needed (the drain thread always frees space). Every
+  /// published chunk rings the doorbell: a record larger than the ring
+  /// stalls its producer until the drain has consumed the chunks before it.
+  void ring_write(Ring& ring, const std::byte* src, std::size_t n) {
     std::size_t written = 0;
     while (written < n) {
       const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
@@ -232,7 +233,17 @@ class ShmConduit final : public Conduit {
       std::memcpy(ring.data + at, src + written, run);
       written += run;
       ring.head.store(head + run, std::memory_order_release);
+      ring_doorbell();
     }
+  }
+
+  /// Bump, then pass through the drain's mutex before notifying: the drain
+  /// compares the doorbell under that mutex before it sleeps, so a bump
+  /// after its ring scan is either seen there or notifies a waiting drain.
+  void ring_doorbell() {
+    doorbell_.fetch_add(1, std::memory_order_release);
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    cv_.notify_one();
   }
 
   /// Consumer side: copies `n` bytes out, stalling until the producer has
@@ -298,7 +309,10 @@ class ShmConduit final : public Conduit {
   void drain_main() {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      // Pull everything the rings hold, then deliver what is due.
+      // Pull everything the rings hold, then deliver what is due. The
+      // doorbell is read before the scan, so any chunk the scan misses
+      // bumps it past `seen`.
+      const std::uint64_t seen = doorbell_.load(std::memory_order_acquire);
       lock.unlock();
       for (Ring* r : rings_) parse_ring(*r);
       lock.lock();
@@ -311,12 +325,14 @@ class ShmConduit final : public Conduit {
         lock.lock();
       }
       if (stop_ && pending_.empty() && rings_empty()) return;
+      const auto rung = [&] {
+        return doorbell_.load(std::memory_order_acquire) != seen;
+      };
       if (!pending_.empty()) {
-        cv_.wait_until(lock, pending_.top().due);
+        const TimePoint due = pending_.top().due;
+        cv_.wait_until(lock, due, rung);
       } else {
-        // Idle: producers notify on submit; the timeout covers a record
-        // whose first bytes land between the ring scan and this wait.
-        cv_.wait_for(lock, std::chrono::microseconds(200));
+        cv_.wait(lock, [&] { return stop_ || rung(); });
       }
     }
   }
@@ -342,6 +358,7 @@ class ShmConduit final : public Conduit {
 
   std::atomic<std::int64_t> submitted_{0};
   std::atomic<std::int64_t> next_seq_{0};
+  std::atomic<std::uint64_t> doorbell_{0};  ///< chunks ever published
 
   std::mutex mutex_;
   std::condition_variable cv_;

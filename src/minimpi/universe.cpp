@@ -89,6 +89,9 @@ void Universe::reaper_main() {
       if (next_due < 0 || it->at_ns < next_due) next_due = it->at_ns;
       ++it;
     }
+    // Re-check before sleeping: run() may have asked to stop while a kill
+    // executed unlocked (its victim unwinding is what lets run() finish).
+    if (reaper_stop_) return;
     if (next_due < 0) {
       kill_cv_.wait(lock);
     } else {

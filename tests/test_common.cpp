@@ -48,6 +48,19 @@ TEST(Serialize, StringsBlobsVectors) {
   EXPECT_EQ(r.get_vector<int>(), (std::vector<int>{7, 8, 9}));
 }
 
+TEST(Serialize, EmptyVectorAndRawRoundTrip) {
+  // Zero-length reads must not hand memcpy a null pointer (UBSan flags it
+  // even for a zero count).
+  ArchiveWriter w;
+  w.put_vector(std::vector<std::uint64_t>{});
+  w.put<int>(42);
+  ArchiveReader r(w.bytes());
+  EXPECT_TRUE(r.get_vector<std::uint64_t>().empty());
+  r.get_raw(nullptr, 0);
+  EXPECT_EQ(r.get<int>(), 42);
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(Serialize, UnderflowThrows) {
   ArchiveWriter w;
   w.put<int>(1);

@@ -6,6 +6,8 @@
 #include <thread>
 
 #include "core/event_system.hpp"
+#include "core/runtime.hpp"
+#include "halo/halo3d.hpp"
 
 namespace ompc::core {
 namespace {
@@ -206,7 +208,7 @@ TEST_P(EventSystemHandlers, PipelinedSubmitsUnderAnyHandlerCount) {
       2,
       [](EventSystem& es) {
         // Issue several submits before collecting: exercises pending-I/O
-        // re-enqueueing when handlers < in-flight events.
+        // parking and waking when handlers < in-flight events.
         constexpr int kN = 8;
         std::vector<offload::TargetPtr> ptrs;
         std::vector<OriginEventPtr> pending;
@@ -233,6 +235,56 @@ TEST_P(EventSystemHandlers, PipelinedSubmitsUnderAnyHandlerCount) {
 
 INSTANTIATE_TEST_SUITE_P(HandlerCounts, EventSystemHandlers,
                          ::testing::Values(1, 2, 4));
+
+// --- completion-driven progress --------------------------------------------
+
+/// 3D halo stencil over `network`: worker-to-worker RMA puts and armed
+/// channels, the traffic that parks events when the wire is not instant.
+RuntimeStats run_halo(const mpi::NetworkModel& network) {
+  halo::HaloSpec spec;
+  spec.nx = spec.ny = spec.nz = 2;
+  spec.cells = 4;
+  spec.iters = 6;
+  ClusterOptions opts;
+  opts.num_workers = 2;
+  opts.network = network;
+  const halo::HaloResult res = halo::run_halo3d(opts, spec);
+  EXPECT_EQ(res.checksum, halo::serial_checksum(spec));
+  return res.stats;
+}
+
+TEST(EventSystemProgress, ParkedEventsWakeOnceEachOnASlowWire) {
+  // Every parked event is re-queued by its request's completion hook,
+  // exactly once: none is polled, and none finishes without being woken.
+  const RuntimeStats s = run_halo(mpi::NetworkModel{20'000, 500.0e6, 8});
+  EXPECT_GT(s.events_parked, 0);
+  EXPECT_EQ(s.event_wakeups, s.events_parked);
+  EXPECT_GT(s.events_handled, 0);
+}
+
+TEST(EventSystemProgress, InstantInProcessNetworkNeverParks) {
+  // The in-process conduit delivers inline on an instant network, so every
+  // request an event waits on is already complete at its first test().
+  if (mpi::resolve_conduit_kind(mpi::ConduitKind::InProcess) !=
+      mpi::ConduitKind::InProcess)
+    GTEST_SKIP() << "OMPC_CONDUIT overrides the in-process conduit";
+  const RuntimeStats s = run_halo(mpi::NetworkModel{});
+  EXPECT_EQ(s.events_parked, 0);
+  EXPECT_EQ(s.event_wakeups, 0);
+  EXPECT_GT(s.events_handled, 0);
+}
+
+TEST(EventSystemProgress, EmptyLaunchesNeverHangAtStop) {
+  // Regression: stop used to be published without the queue mutex, so a
+  // handler could miss the wakeup and hang the launch at join (about 1 in
+  // a few thousand empty launches). CTest's timeout turns a hang into a
+  // failure.
+  ClusterOptions opts;
+  opts.num_workers = 4;
+  opts.network = mpi::NetworkModel{20'000, 500.0e6, 8};
+  for (int i = 0; i < 2000; ++i) launch(opts, [](Runtime&) {});
+  SUCCEED();
+}
 
 }  // namespace
 }  // namespace ompc::core

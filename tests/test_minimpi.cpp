@@ -655,6 +655,139 @@ TEST_P(MiniMpiConduit, RecvInitFromDeadRankFailsOnStart) {
   });
 }
 
+// --- completion hooks ----------------------------------------------------
+//
+// Hooks fire on the delivering thread, after waiters were released, so the
+// counts are checked once Universe::launch has joined every thread.
+
+TEST_P(MiniMpiConduit, CompletionHookFiresOnceOnComplete) {
+  std::atomic<int> fired{0};
+  Universe::launch(opts(2), [&](RankContext& ctx) {
+    Comm comm = ctx.world();
+    if (ctx.rank() == 1) {
+      int v = 0;
+      Request r = comm.irecv(&v, sizeof v, 0, 3);
+      r.state()->on_complete([&] { fired.fetch_add(1); });
+      comm.send(nullptr, 0, 0, 4);  // hook registered: send the payload
+      r.wait();
+      EXPECT_EQ(v, 5);
+    } else {
+      comm.recv(nullptr, 0, 1, 4);
+      const int v = 5;
+      comm.send(&v, sizeof v, 1, 3);
+    }
+  });
+  EXPECT_EQ(fired.load(), 1);
+}
+
+TEST_P(MiniMpiConduit, CompletionHookFiresOnceOnKill) {
+  std::atomic<int> fired{0};
+  Universe::launch(opts(2), [&](RankContext& ctx) {
+    if (ctx.rank() != 1) return;
+    int v = 0;
+    Request r = ctx.world().irecv(&v, sizeof v, 0, 3);  // never sent
+    r.state()->on_complete([&] { fired.fetch_add(1); });
+    ctx.universe().kill_rank(1, 0);
+    EXPECT_THROW(r.wait(), RankKilledError);
+  });
+  EXPECT_EQ(fired.load(), 1);
+}
+
+TEST_P(MiniMpiConduit, CompletionHookRunsInlineWhenAlreadyDone) {
+  Universe::launch(opts(2), [](RankContext& ctx) {
+    if (ctx.rank() != 0) return;
+    Request r = ctx.world().isend(nullptr, 0, 1, 3);  // eager: done at once
+    int fired = 0;
+    std::thread::id ran_on;
+    r.state()->on_complete([&] {
+      ++fired;
+      ran_on = std::this_thread::get_id();
+    });
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+  });
+}
+
+TEST_P(MiniMpiConduit, CompletionHookNeverFiresAfterCancel) {
+  std::atomic<int> fired{0};
+  Universe::launch(opts(2), [&](RankContext& ctx) {
+    Comm comm = ctx.world();
+    if (ctx.rank() == 1) {
+      int v = 0;
+      Request r = comm.irecv(&v, sizeof v, 0, 3);
+      r.state()->on_complete([&] { fired.fetch_add(1); });
+      comm.cancel(r);
+      comm.send(nullptr, 0, 0, 4);  // cancelled: now send the payload
+      comm.recv(nullptr, 0, 0, 5);  // it has landed (unexpected queue)
+      EXPECT_EQ(v, 0);
+    } else {
+      comm.recv(nullptr, 0, 1, 4);
+      const int v = 5;
+      comm.send(&v, sizeof v, 1, 3);
+      comm.send(nullptr, 0, 1, 5);  // same link, so it lands after tag 3
+    }
+  });
+  EXPECT_EQ(fired.load(), 0);
+}
+
+TEST_P(MiniMpiConduit, CompletionHookFiresOncePerPersistentCycle) {
+  constexpr int kCycles = 16;
+  std::atomic<int> recv_fired{0};
+  std::atomic<int> put_fired{0};
+  Universe::launch(opts(2), [&](RankContext& ctx) {
+    Comm comm = ctx.world();
+    int v = 0;
+    if (ctx.rank() == 1) {
+      std::array<int, 4> region{};
+      Window win = comm.win_create(41, region.data(), sizeof region);
+      comm.send(nullptr, 0, 0, 1);  // window is up
+      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 21);
+      for (int cyc = 0; cyc < kCycles; ++cyc) {
+        recv.start();
+        recv.state()->on_complete([&] { recv_fired.fetch_add(1); });
+        comm.send(nullptr, 0, 0, 2);  // armed: send this cycle's value
+        recv.wait();
+        EXPECT_EQ(v, cyc);
+      }
+      comm.recv(nullptr, 0, 0, 3);  // the puts are done with the window
+    } else {
+      comm.recv(nullptr, 0, 1, 1);
+      PersistentRequest put = comm.put_init(1, 41, 0, &v, sizeof v);
+      for (int cyc = 0; cyc < kCycles; ++cyc) {
+        comm.recv(nullptr, 0, 1, 2);
+        v = cyc;
+        comm.send(&v, sizeof v, 1, 21);
+        put.start();
+        put.state()->on_complete([&] { put_fired.fetch_add(1); });
+        put.wait();
+      }
+      comm.send(nullptr, 0, 1, 3);
+    }
+  });
+  EXPECT_EQ(recv_fired.load(), kCycles);
+  EXPECT_EQ(put_fired.load(), kCycles);
+}
+
+TEST_P(MiniMpiConduit, CompletionHookFiresOnceWhenCompleteRacesKill) {
+  Universe::launch(opts(2), [](RankContext& ctx) {
+    if (ctx.rank() != 1) return;
+    Comm comm = ctx.world();
+    for (int round = 0; round < 200; ++round) {
+      int v = 0;
+      Request r = comm.irecv(&v, sizeof v, 0, 3);
+      comm.cancel(r);  // unposted: only the two racers below finish it
+      std::atomic<int> fired{0};
+      r.state()->on_complete([&] { fired.fetch_add(1); });
+      const auto state = r.state();
+      std::thread completer([&] { state->complete(Status{0, 3, 0}); });
+      std::thread killer([&] { state->kill(0); });
+      completer.join();
+      killer.join();
+      EXPECT_EQ(fired.load(), 1) << "round " << round;
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(Conduits, MiniMpiConduit,
                          ::testing::Values(ConduitKind::InProcess,
                                            ConduitKind::Shm),
