@@ -5,9 +5,9 @@
 // writes every buffer every wave, so with checkpoint_period = 1 each
 // boundary must re-snapshot the whole working set. Under
 // CheckpointLocality::Head that volume crosses the head NIC at every
-// boundary (the Fig. 7a-style bottleneck); under WorkerLocal/Buddy the
-// workers snapshot in place (plus a worker->worker buddy replica) and the
-// head ships O(metadata) commands.
+// boundary (the Fig. 7a-style bottleneck); under Buddy the workers
+// snapshot in place (plus a worker->worker buddy replica) and the head
+// ships O(metadata) commands.
 //
 // Asserted invariants (exit 1 on violation):
 //  - Head mode moves the dirty volume through the head (sanity: the
@@ -32,7 +32,6 @@ using namespace ompc::taskbench;
 const char* locality_name(core::CheckpointLocality l) {
   switch (l) {
     case core::CheckpointLocality::Head: return "Head";
-    case core::CheckpointLocality::WorkerLocal: return "WorkerLocal";
     case core::CheckpointLocality::Buddy: return "Buddy";
   }
   return "?";
@@ -75,11 +74,10 @@ int main() {
     std::int64_t cache_hits = 0;
     double capture_ms = 0.0;
   };
-  ModeResult results[3];
+  ModeResult results[2];
   const CheckpointLocality modes[] = {CheckpointLocality::Head,
-                                      CheckpointLocality::WorkerLocal,
                                       CheckpointLocality::Buddy};
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < 2; ++m) {
     core::ClusterOptions opts = base;
     opts.checkpoint_locality = modes[m];
     for (int rep = 0; rep < reps; ++rep) {
@@ -111,7 +109,7 @@ int main() {
   const double ratio =
       results[0].head_bytes == 0
           ? 1.0
-          : static_cast<double>(results[2].head_bytes) /
+          : static_cast<double>(results[1].head_bytes) /
                 static_cast<double>(results[0].head_bytes);
 
   // --- recovery: kill a snapshot owner under Buddy mode ------------------
@@ -149,12 +147,10 @@ int main() {
          << "  \"checkpoint_logical_bytes\": " << results[0].logical_bytes
          << ",\n"
          << "  \"head_mode_head_bytes\": " << results[0].head_bytes << ",\n"
-         << "  \"workerlocal_mode_head_bytes\": " << results[1].head_bytes
-         << ",\n"
-         << "  \"buddy_mode_head_bytes\": " << results[2].head_bytes << ",\n"
+         << "  \"buddy_mode_head_bytes\": " << results[1].head_bytes << ",\n"
          << "  \"buddy_over_head_ratio\": " << ratio << ",\n"
-         << "  \"buddy_snapshot_replicas\": " << results[2].replicas << ",\n"
-         << "  \"schedule_cache_hits\": " << results[2].cache_hits << ",\n"
+         << "  \"buddy_snapshot_replicas\": " << results[1].replicas << ",\n"
+         << "  \"schedule_cache_hits\": " << results[1].cache_hits << ",\n"
          << "  \"recovery_bitwise_identical\": "
          << (recovery_ok ? "true" : "false") << "\n"
          << "}\n";
@@ -181,19 +177,19 @@ int main() {
                  ratio * 100.0);
     status = 1;
   }
-  if (results[2].logical_bytes != results[0].logical_bytes ||
-      results[2].checkpoints != results[0].checkpoints) {
+  if (results[1].logical_bytes != results[0].logical_bytes ||
+      results[1].checkpoints != results[0].checkpoints) {
     std::fprintf(stderr,
                  "FAIL: Buddy mode took different snapshots (%lld B / %lld "
                  "captures) than Head mode (%lld B / %lld) — the modes are "
                  "no longer comparable\n",
-                 static_cast<long long>(results[2].logical_bytes),
-                 static_cast<long long>(results[2].checkpoints),
+                 static_cast<long long>(results[1].logical_bytes),
+                 static_cast<long long>(results[1].checkpoints),
                  static_cast<long long>(results[0].logical_bytes),
                  static_cast<long long>(results[0].checkpoints));
     status = 1;
   }
-  if (results[2].replicas == 0) {
+  if (results[1].replicas == 0) {
     std::fprintf(stderr, "FAIL: Buddy mode shipped zero buddy replicas\n");
     status = 1;
   }

@@ -1,13 +1,13 @@
 // Transport-conduit microbenchmark: per-conduit ping-pong latency and
 // bandwidth, one-sided put cost, and the wire price of a worker->worker
-// Exchange on the RMA data plane vs the old rendezvous pair — reported as
-// machine-checkable JSON (BENCH_minimpi.json) so regressions fail CI
-// instead of drifting.
+// Exchange (one RmaPut event) — reported as machine-checkable JSON
+// (BENCH_minimpi.json) so regressions fail CI instead of drifting.
 //
 // Asserted invariant (exit 1 on violation):
-//  - an RMA Exchange puts no more messages on the wire than the rendezvous
-//    Exchange it replaced (today: 4 vs 5 — one-sided writes need no posted
-//    receive and no second completion).
+//  - an Exchange puts exactly kExchangeMessages messages on the wire: the
+//    RmaPut announce, the put, its ack and the completion, plus the Alloc
+//    round trip on the consumer. A change to the count is a protocol change
+//    and must update the constant (and BENCH_minimpi.json) on purpose.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -119,15 +119,17 @@ double put_us(mpi::ConduitKind kind) {
   return us;
 }
 
-/// Wire messages of one worker->worker Exchange under the given data plane:
-/// a buffer is produced on worker 1, then demanded by worker 2; the delta
-/// of Universe::messages_sent around the second prepare_args is exactly the
+/// What exchange_messages() must return (see the header comment).
+constexpr std::int64_t kExchangeMessages = 6;
+
+/// Wire messages of one worker->worker Exchange: a buffer is produced on
+/// worker 1, then demanded by worker 2; the delta of
+/// Universe::messages_sent around the second prepare_args is exactly the
 /// Exchange protocol cost.
-std::int64_t exchange_messages(core::DataPlane plane) {
+std::int64_t exchange_messages() {
   core::ClusterOptions opts;
   opts.num_workers = 2;
   opts.network = {};
-  opts.data_plane = plane;
   mpi::UniverseOptions uopts;
   uopts.ranks = opts.ranks();
   uopts.comms = 1 + opts.vci;
@@ -193,11 +195,9 @@ int main() {
         rows[k].put_us.mean());
   }
 
-  const std::int64_t msgs_rma = exchange_messages(core::DataPlane::Rma);
-  const std::int64_t msgs_rdv = exchange_messages(core::DataPlane::Rendezvous);
-  std::printf("exchange wire messages : %lld RMA vs %lld rendezvous\n",
-              static_cast<long long>(msgs_rma),
-              static_cast<long long>(msgs_rdv));
+  const std::int64_t msgs_rma = exchange_messages();
+  std::printf("exchange wire messages : %lld\n",
+              static_cast<long long>(msgs_rma));
 
   {
     std::ofstream json("BENCH_minimpi.json");
@@ -213,20 +213,18 @@ int main() {
            << "  \"" << name << "_put_us\": " << rows[k].put_us.mean()
            << ",\n";
     }
-    json << "  \"exchange_messages_rma\": " << msgs_rma << ",\n"
-         << "  \"exchange_messages_rendezvous\": " << msgs_rdv << "\n"
+    json << "  \"exchange_messages_rma\": " << msgs_rma << "\n"
          << "}\n";
   }
   std::printf("wrote BENCH_minimpi.json\n");
 
   // --- hard gate (CI fails on regression) --------------------------------
-  if (msgs_rma > msgs_rdv) {
+  if (msgs_rma != kExchangeMessages) {
     std::fprintf(stderr,
-                 "FAIL: RMA exchange costs %lld wire messages, rendezvous "
-                 "%lld (want RMA <= rendezvous) — the one-sided data plane "
-                 "regressed into extra round trips\n",
+                 "FAIL: an exchange costs %lld wire messages (want exactly "
+                 "%lld) — the one-sided forward protocol changed\n",
                  static_cast<long long>(msgs_rma),
-                 static_cast<long long>(msgs_rdv));
+                 static_cast<long long>(kExchangeMessages));
     return 1;
   }
   return 0;

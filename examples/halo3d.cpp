@@ -2,14 +2,12 @@
 // a 7-point stencil, each iteration two target tasks per subdomain (pack
 // the six boundary faces, then update from the facing neighbor faces). The
 // iteration structure never changes, so steady state runs entirely on the
-// schedule cache — with persistent channels on (the default) the runtime
-// pre-posts the wave's receives and pre-arms its one-sided puts instead of
-// renegotiating them every iteration.
+// schedule cache, and the runtime pre-posts the wave's receives and
+// pre-arms its one-sided puts instead of renegotiating them every iteration.
 //
-// Usage: ./build/halo3d [nx ny nz] [cells] [iters] [workers] [transient]
+// Usage: ./build/halo3d [nx ny nz] [cells] [iters] [workers]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/time.hpp"
 #include "halo/halo3d.hpp"
@@ -22,19 +20,16 @@ int main(int argc, char** argv) {
   spec.cells = argc > 4 ? std::atoi(argv[4]) : 8;
   spec.iters = argc > 5 ? std::atoi(argv[5]) : 10;
   const int workers = argc > 6 ? std::atoi(argv[6]) : 4;
-  const bool transient = argc > 7 && std::strcmp(argv[7], "transient") == 0;
 
   ompc::core::ClusterOptions opts;
   opts.num_workers = workers;
-  opts.persistent_channels = !transient;
 
   const ompc::halo::HaloResult r = ompc::halo::run_halo3d(opts, spec);
   const std::uint64_t want = ompc::halo::serial_checksum(spec);
 
   std::printf("halo3d: %dx%dx%d subdomains of %d^3 cells, %d iters on %d "
-              "workers (%s channels)\n",
-              spec.nx, spec.ny, spec.nz, spec.cells, spec.iters, workers,
-              transient ? "transient" : "persistent");
+              "workers\n",
+              spec.nx, spec.ny, spec.nz, spec.cells, spec.iters, workers);
   double mean_ms = 0.0;
   for (const std::int64_t ns : r.iter_ns) mean_ms += ompc::ns_to_ms(ns);
   if (!r.iter_ns.empty()) mean_ms /= static_cast<double>(r.iter_ns.size());

@@ -18,7 +18,7 @@ namespace {
 
 /// Head NIC cost of one snapshot-plane control message: the serialized
 /// header plus the EventAnnounce envelope (kind/tag/origin + blob length).
-/// What flows through the head in worker-local modes is exactly these.
+/// What flows through the head in Buddy mode is exactly these.
 std::int64_t meta_bytes(std::size_t header_size) {
   return static_cast<std::int64_t>(header_size) + 24;
 }
@@ -120,20 +120,17 @@ void CheckpointStore::capture_on_workers(
     std::span<const mpi::Rank> live_workers) {
   // A dirty buffer whose freshest copy sits on a worker is snapshotted in
   // place: SnapshotSave makes a device-local shadow (rank-local, invisible
-  // to every NIC), and in Buddy mode the shadow is replicated to the
-  // owner's ring successor — a single one-sided put into the buddy's block
-  // on the RMA data plane, the two-sided Exchange pair on the rendezvous
-  // one. The head only ships commands — O(metadata) per buffer. The three
-  // phases below pipeline every buffer's events so capture pays
-  // max(transfer), not sum.
+  // to every NIC), and the shadow is replicated to the owner's ring
+  // successor — a single one-sided put into the buddy's block. The head
+  // only ships commands — O(metadata) per buffer. The three phases below
+  // pipeline every buffer's events so capture pays max(transfer), not sum.
   struct Job {
     std::size_t idx = 0;
     mpi::Rank owner = -1;
     mpi::Rank buddy = -1;
     OriginEventPtr save_ev;
     OriginEventPtr alloc_ev;
-    OriginEventPtr send_ev;
-    OriginEventPtr recv_ev;
+    OriginEventPtr put_ev;
     offload::TargetPtr shadow = 0;
     offload::TargetPtr replica = 0;
   };
@@ -171,9 +168,7 @@ void CheckpointStore::capture_on_workers(
       w.put(SnapshotSaveHeader{where.owner_addr, e.size});
       stats_.head_bytes += meta_bytes(w.size());
       j.save_ev = events_->start(j.owner, EventKind::SnapshotSave, w.take());
-      if (locality_ == CheckpointLocality::Buddy) {
-        j.buddy = buddy_of(j.owner, live_workers);
-      }
+      j.buddy = buddy_of(j.owner, live_workers);
       // Track the job before any further start() can throw: the abort path
       // below harvests the save's shadow address so it can be dropped.
       jobs.push_back(std::move(j));
@@ -199,36 +194,21 @@ void CheckpointStore::capture_on_workers(
         ArchiveReader r(reply);
         j.replica = r.get<offload::TargetPtr>();
         created.push_back({j.buddy, j.replica});
-        const Entry& e = fresh[j.idx];
-        if (data_plane_ == DataPlane::Rma) {
-          // One-sided replication: the owner puts its shadow straight into
-          // the buddy's freshly allocated block (registered as a window
-          // under its own address). One event instead of the two-sided
-          // pair; the buddy's event handlers never see the bytes land.
-          ArchiveWriter pw;
-          pw.put(RmaPutHeader{j.shadow, e.size, j.buddy, j.replica, 0});
-          stats_.head_bytes += meta_bytes(pw.size());
-          j.send_ev = events_->start(j.owner, EventKind::RmaPut, pw.take(),
-                                     {}, j.buddy);
-        } else {
-          const mpi::Tag data_tag = events_->allocate_tag();
-          ArchiveWriter rw;
-          rw.put(ExchangeRecvHeader{j.replica, e.size, j.owner, data_tag});
-          stats_.head_bytes += meta_bytes(rw.size());
-          j.recv_ev = events_->start(j.buddy, EventKind::ExchangeRecv,
-                                     rw.take(), {}, j.owner);
-          ArchiveWriter sw;
-          sw.put(ExchangeSendHeader{j.shadow, e.size, j.buddy, data_tag});
-          stats_.head_bytes += meta_bytes(sw.size());
-          j.send_ev = events_->start(j.owner, EventKind::ExchangeSend,
-                                     sw.take(), {}, j.buddy);
-        }
+        // One-sided replication: the owner puts its shadow straight into
+        // the buddy's freshly allocated block (registered as a window under
+        // its own address); the buddy's event handlers never see the bytes
+        // land.
+        ArchiveWriter pw;
+        pw.put(RmaPutHeader{j.shadow, fresh[j.idx].size, j.buddy, j.replica,
+                            0});
+        stats_.head_bytes += meta_bytes(pw.size());
+        j.put_ev = events_->start(j.owner, EventKind::RmaPut, pw.take(), {},
+                                  j.buddy);
       }
     }
     // Phase C: the replicas land; only now may entries reference them.
     for (Job& j : jobs) {
-      if (j.send_ev != nullptr) j.send_ev->wait();
-      if (j.recv_ev != nullptr) j.recv_ev->wait();
+      if (j.put_ev != nullptr) j.put_ev->wait();
       Entry& e = fresh[j.idx];
       e.owner = {j.owner, j.shadow};
       if (j.replica != 0) {
@@ -237,7 +217,7 @@ void CheckpointStore::capture_on_workers(
       }
     }
   } catch (...) {
-    // Abort: settle every outstanding event (an in-flight exchange must not
+    // Abort: settle every outstanding event (an in-flight put must not
     // land in a block we later free), harvesting the addresses of shadows
     // and replicas that did materialize, then park them all for the next
     // quiescent drop. The previous generation is untouched.
@@ -257,8 +237,7 @@ void CheckpointStore::capture_on_workers(
         } catch (...) {
         }
       }
-      settle(j.send_ev);
-      settle(j.recv_ev);
+      settle(j.put_ev);
     }
     orphaned_.insert(orphaned_.end(), created.begin(), created.end());
     throw;

@@ -14,14 +14,13 @@
 //  - Head: every dirty buffer is retrieved to the head (fanned out across
 //    the transfer pool) and copied there — the PR 1/PR 3 baseline, whose
 //    cost scales with dirty bytes × head NIC bandwidth;
-//  - WorkerLocal: each worker snapshots its dirty buffers into device-local
-//    shadow blocks (SnapshotSave, a rank-local memcpy); the head keeps only
-//    metadata {owner, shadow address, generation} plus bytes for buffers
-//    whose freshest copy already lives on the head;
-//  - Buddy: WorkerLocal plus one replica on the owner's ring successor
-//    among the live workers, shipped worker->worker over the existing
-//    Exchange path — head traffic per boundary stays O(metadata) while
-//    recovery survives the snapshot owner's death.
+//  - Buddy: each worker snapshots its dirty buffers into device-local
+//    shadow blocks (SnapshotSave, a rank-local memcpy) and puts one replica
+//    on the owner's ring successor among the live workers (an RmaPut into
+//    the buddy's block); the head keeps only metadata {owner, buddy, shadow
+//    addresses, generation} plus bytes for buffers whose freshest copy
+//    already lives on the head — head traffic per boundary stays
+//    O(metadata) while recovery survives the snapshot owner's death.
 //
 // Capture commits in two phases: new-generation shadows are created while
 // the previous generation stays intact, so a worker dying mid-capture
@@ -69,14 +68,10 @@ class CheckpointStore {
   /// ablation baseline).
   CheckpointStore() = default;
 
-  /// `events` may be null, which forces Head locality. `data_plane` picks
-  /// how buddy replicas travel: one RmaPut into the buddy's registered
-  /// block (default) or the two-sided Exchange pair (ablation baseline).
-  CheckpointStore(EventSystem* events, CheckpointLocality locality,
-                  DataPlane data_plane = DataPlane::Rma)
+  /// `events` may be null, which forces Head locality.
+  CheckpointStore(EventSystem* events, CheckpointLocality locality)
       : events_(events),
-        locality_(events == nullptr ? CheckpointLocality::Head : locality),
-        data_plane_(data_plane) {}
+        locality_(events == nullptr ? CheckpointLocality::Head : locality) {}
 
   /// Whether a snapshot exists to roll back to.
   bool has_checkpoint() const noexcept { return have_; }
@@ -92,7 +87,7 @@ class CheckpointStore {
   /// (between waves). Replaces any previous snapshot — recovery is always
   /// to the most recent boundary — and commits atomically: a worker dying
   /// mid-capture leaves the previous snapshot (and the dirty set) intact.
-  /// `live_workers` (worker-local modes) picks each owner's buddy rank.
+  /// `live_workers` (Buddy mode) picks each owner's buddy rank.
   void capture(DataManager& dm, std::int64_t wave,
                std::span<const mpi::Rank> live_workers = {});
 
@@ -152,8 +147,8 @@ class CheckpointStore {
     /// consecutive snapshot generations so clean buffers cost no copy.
     /// Null when the snapshot lives on workers instead.
     std::shared_ptr<const Bytes> data;
-    Shadow owner;  ///< worker-local shadow (worker modes)
-    Shadow buddy;  ///< ring-successor replica (Buddy mode)
+    Shadow owner;  ///< worker-local shadow (Buddy mode)
+    Shadow buddy;  ///< ring-successor replica (none with < 2 live workers)
   };
 
   /// Whether `e`'s bytes can still be produced from some live holder.
@@ -172,8 +167,8 @@ class CheckpointStore {
   void capture_on_head(DataManager& dm, std::vector<Entry>& fresh,
                        const std::vector<std::size_t>& pending);
 
-  /// Worker-local capture: SnapshotSave on each owner (+ buddy replica via
-  /// the Exchange path), pipelined across buffers. On failure the shadows
+  /// Worker-local capture: SnapshotSave on each owner plus an RmaPut
+  /// replica to its buddy, pipelined across buffers. On failure the shadows
   /// created so far are parked in orphaned_ and the error rethrown — the
   /// previous generation stays intact.
   void capture_on_workers(DataManager& dm, std::vector<Entry>& fresh,
@@ -182,7 +177,6 @@ class CheckpointStore {
 
   EventSystem* events_ = nullptr;
   CheckpointLocality locality_ = CheckpointLocality::Head;
-  DataPlane data_plane_ = DataPlane::Rma;
 
   std::vector<Entry> entries_;
   std::int64_t wave_ = -1;

@@ -109,8 +109,7 @@ void DataManager::submit_to(mpi::Rank worker, offload::TargetPtr dst,
   // keeps anyone from rewriting it meanwhile. With an armed plan the
   // payload rides the edge's fixed channel tag ahead of the announce (the
   // worker's pre-posted slot — or its unexpected queue — matches it).
-  const mpi::Tag ctag =
-      channels_armed() ? channel_tag_for(b.host, -1, worker) : 0;
+  const mpi::Tag ctag = channels_armed() ? channel_tag_for(b.host, worker) : 0;
   ArchiveWriter w;
   w.put(SubmitHeader{dst, b.size, ctag});
   if (ctag != 0) {
@@ -156,13 +155,11 @@ offload::TargetPtr DataManager::ensure_on(mpi::Rank worker, BufferState& b) {
   // would sleep on the cv forever and deadlock dispatch.
   try {
   const offload::TargetPtr dst = alloc_on(worker, b);
-  if (src >= 0 && opts_.forwarding == Forwarding::Direct &&
-      opts_.data_plane == DataPlane::Rma) {
-    // §4.3 direct forwarding over the one-sided data plane: a single
-    // RmaPut event tells the producer to put straight into the consumer's
-    // freshly allocated block (its window id is its address). One event +
-    // one put where the rendezvous pair needs two events and a matched
-    // send/recv — and the consumer's event handlers never run.
+  if (src >= 0 && opts_.forwarding == Forwarding::Direct) {
+    // §4.3 direct worker->worker forwarding commanded by the head, over
+    // the one-sided data plane: a single RmaPut event tells the producer
+    // to put straight into the consumer's block (its window id is its
+    // address) — the consumer's event handlers never run.
     const offload::TargetPtr src_ptr = [&] {
       std::lock_guard<std::mutex> lock(b.lock);
       return b.addr.at(src);
@@ -170,30 +167,6 @@ offload::TargetPtr DataManager::ensure_on(mpi::Rank worker, BufferState& b) {
     ArchiveWriter w;
     w.put(RmaPutHeader{src_ptr, b.size, worker, dst, 0});
     events_->start(src, EventKind::RmaPut, w.take(), {}, worker)->wait();
-    stats_.exchanges.fetch_add(1, std::memory_order_relaxed);
-  } else if (src >= 0 && opts_.forwarding == Forwarding::Direct) {
-    // §4.3: direct worker->worker forwarding commanded by the head. Both
-    // halves share one payload tag; post the receive half first.
-    const offload::TargetPtr src_ptr = [&] {
-      std::lock_guard<std::mutex> lock(b.lock);
-      return b.addr.at(src);
-    }();
-    // Armed plan: the transfer edge's fixed channel tag, so the consumer's
-    // pre-posted persistent receive matches the payload without a fresh
-    // mailbox slot. Transient: a throwaway per-event tag as before.
-    const mpi::Tag data_tag = channels_armed()
-                                  ? channel_tag_for(b.host, src, worker)
-                                  : events_->allocate_tag();
-    ArchiveWriter rw;
-    rw.put(ExchangeRecvHeader{dst, b.size, src, data_tag});
-    auto recv_ev =
-        events_->start(worker, EventKind::ExchangeRecv, rw.take(), {}, src);
-    ArchiveWriter sw;
-    sw.put(ExchangeSendHeader{src_ptr, b.size, worker, data_tag});
-    auto send_ev =
-        events_->start(src, EventKind::ExchangeSend, sw.take(), {}, worker);
-    send_ev->wait();
-    recv_ev->wait();
     stats_.exchanges.fetch_add(1, std::memory_order_relaxed);
   } else if (src >= 0) {
     // Forwarding::ViaHead ablation strawman: bounce through the head's
@@ -595,10 +568,9 @@ void DataManager::disarm_channels() {
   channel_tags_.clear();
 }
 
-mpi::Tag DataManager::channel_tag_for(const void* host, mpi::Rank src,
-                                      mpi::Rank dst) {
+mpi::Tag DataManager::channel_tag_for(const void* host, mpi::Rank worker) {
   std::lock_guard<std::mutex> lock(channel_tag_mutex_);
-  const auto key = std::make_tuple(host, src, dst);
+  const auto key = std::make_pair(host, worker);
   const auto it = channel_tags_.find(key);
   if (it != channel_tags_.end()) return it->second;
   const mpi::Tag t = events_->allocate_channel_tag();

@@ -28,7 +28,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <set>
 #include <shared_mutex>
 #include <span>
@@ -169,8 +168,8 @@ class DataManager {
   void rebind(EventSystem* events) { events_ = events; }
 
   /// Elastic membership: migrates every `take_every`-th worker-resident
-  /// buffer to `joiner` (a direct transfer from the current owner over the
-  /// configured data plane) and makes the joiner its only worker replica —
+  /// buffer to `joiner` (a transfer from the current owner, as for a task
+  /// input) and makes the joiner its only worker replica —
   /// the joiner's ownership slice. Returns the number of buffers moved.
   std::size_t migrate_buffers(mpi::Rank joiner, std::size_t take_every);
 
@@ -180,9 +179,9 @@ class DataManager {
   // hash, same live-worker set): the steady-state wave shape is known, so
   // (1) stale replicas keep their device allocations across write
   // invalidations — the next wave's transfer re-uses the block instead of
-  // paying Delete+Alloc round-trips — and (2) repeated transfers ride
-  // fixed channel tags that the destination's pre-posted persistent
-  // receives match (see EventSystem's channel cache). Disarmed on
+  // paying Delete+Alloc round-trips — and (2) repeated head-to-worker
+  // Submits ride fixed channel tags that the destination's pre-posted
+  // persistent receives match (see EventSystem's channel cache). Disarmed on
   // rollback, membership change, head failover and tenant-set change; the
   // fixed tags are retired with the plan so recovery can never match a
   // stale in-flight payload, keeping re-execution bitwise-identical.
@@ -270,10 +269,10 @@ class DataManager {
   /// Marks `host` as written since the last checkpoint.
   void mark_dirty(const void* host);
 
-  /// The fixed wire tag of the (buffer, producer, consumer) transfer edge
-  /// (src == -1: head-to-worker Submit). Allocated from the channel space
-  /// on first use, stable until disarm_channels() retires the plan.
-  mpi::Tag channel_tag_for(const void* host, mpi::Rank src, mpi::Rank dst);
+  /// The fixed wire tag of the head-to-`worker` Submit edge of `host`.
+  /// Allocated from the channel space on first use, stable until
+  /// disarm_channels() retires the plan.
+  mpi::Tag channel_tag_for(const void* host, mpi::Rank worker);
 
   EventSystem* events_;
   const ClusterOptions opts_;
@@ -288,8 +287,7 @@ class DataManager {
   // current plan's transfer edges.
   std::atomic<bool> channels_on_{false};
   mutable std::mutex channel_tag_mutex_;
-  std::map<std::tuple<const void*, mpi::Rank, mpi::Rank>, mpi::Tag>
-      channel_tags_;
+  std::map<std::pair<const void*, mpi::Rank>, mpi::Tag> channel_tags_;
 
   /// Shared transfer pool for prepare_args fan-out — created with the
   /// manager (once per launch, like the dispatch pool). Elastic: capped at

@@ -18,8 +18,6 @@ const char* to_string(EventKind k) {
     case EventKind::Delete: return "Delete";
     case EventKind::Submit: return "Submit";
     case EventKind::Retrieve: return "Retrieve";
-    case EventKind::ExchangeSend: return "ExchangeSend";
-    case EventKind::ExchangeRecv: return "ExchangeRecv";
     case EventKind::Execute: return "Execute";
     case EventKind::Shutdown: return "Shutdown";
     case EventKind::RankDead: return "RankDead";
@@ -133,17 +131,15 @@ offload::TargetPtr WorkerMemory::snapshot(offload::TargetPtr src,
   return tp;
 }
 
-void WorkerMemory::retain_only(const std::vector<offload::TargetPtr>& keep) {
-  const std::unordered_set<offload::TargetPtr> ks(keep.begin(), keep.end());
-  std::vector<offload::TargetPtr> victims;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [tp, blk] : live_) {
-      (void)blk;
-      if (ks.count(tp) == 0) victims.push_back(tp);
-    }
+std::vector<offload::TargetPtr> WorkerMemory::blocks() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<offload::TargetPtr> out;
+  out.reserve(live_.size());
+  for (const auto& [tp, blk] : live_) {
+    (void)blk;
+    out.push_back(tp);
   }
-  for (const offload::TargetPtr tp : victims) free(tp);
+  return out;
 }
 
 std::size_t WorkerMemory::live() const {
@@ -525,8 +521,8 @@ void EventSystem::gate_main() {
           // retires every channel tag on recovery anyway: drop the cache
           // wholesale so no pre-posted slot outlives the failure.
           clear_channels();
-          // Re-queue events parked on pending I/O so handlers re-evaluate
-          // them against the updated dead set (exchange halves abort).
+          // Re-queue events parked on pending I/O so each re-tests its
+          // request: one the death failed settles instead of staying parked.
           wake_all_parked();
           continue;
         }
@@ -541,8 +537,8 @@ void EventSystem::gate_main() {
           auto it = origin_events_.find(c.tag);
           if (it == origin_events_.end()) {
             // A completion can outlive its event: fail_rank() already
-            // failed it, or a worker aborted an exchange half whose origin
-            // gave up. Late completions are dropped, not protocol errors.
+            // failed it (a worker still acks an RmaPut whose peer died).
+            // Late completions are dropped, not protocol errors.
             OMPC_LOG_WARN("dropping late completion for event tag " << c.tag);
             continue;
           }
@@ -780,20 +776,30 @@ std::shared_ptr<EventSystem::RecvChannel> EventSystem::arm_recv_channel(
   return ch;
 }
 
-void EventSystem::evict_channels_for(offload::TargetPtr p) {
+bool EventSystem::free_block(offload::TargetPtr p) {
+  {
+    // Channels reading or landing in the doomed block die with it (their
+    // pins release once no cycle is in flight).
+    std::lock_guard<std::mutex> lock(channel_mutex_);
+    for (auto it = put_channels_.begin(); it != put_channels_.end();) {
+      if (std::get<3>(it->first) == p)
+        it = put_channels_.erase(it);
+      else
+        ++it;
+    }
+    for (auto it = recv_channels_.begin(); it != recv_channels_.end();) {
+      if (it->second->dst == p)
+        it = recv_channels_.erase(it);
+      else
+        ++it;
+    }
+  }
+  return memory_->try_free(p);
+}
+
+std::size_t EventSystem::cached_channels() const {
   std::lock_guard<std::mutex> lock(channel_mutex_);
-  for (auto it = put_channels_.begin(); it != put_channels_.end();) {
-    if (std::get<3>(it->first) == p)
-      it = put_channels_.erase(it);
-    else
-      ++it;
-  }
-  for (auto it = recv_channels_.begin(); it != recv_channels_.end();) {
-    if (it->second->dst == p)
-      it = recv_channels_.erase(it);
-    else
-      ++it;
-  }
+  return put_channels_.size() + recv_channels_.size();
 }
 
 void EventSystem::clear_channels() {
@@ -818,17 +824,15 @@ bool EventSystem::progress(RemoteEvent& ev) {
     case EventKind::Delete: {
       const auto h = header.get<DeleteHeader>();
       OMPC_CHECK(memory_ != nullptr);
-      // Channels reading or landing in the doomed block die with it (their
-      // pins release once no cycle is in flight).
-      evict_channels_for(h.ptr);
-      memory_->free(h.ptr);
+      OMPC_CHECK_MSG(free_block(h.ptr),
+                     "worker double free of device ptr " << h.ptr);
       send_completion(a.origin, a.tag, {});
       return true;
     }
     case EventKind::Submit: {
       const auto h = header.get<SubmitHeader>();
       if (ev.phase == 0) {
-        if (opts_.persistent_channels && h.data_tag >= kChannelTagBase) {
+        if (h.data_tag >= kChannelTagBase) {
           ev.recv_channel =
               arm_recv_channel(h.data_tag, h.dst, h.size, a.origin);
           if (ev.recv_channel != nullptr) ev.phase = 2;
@@ -880,19 +884,7 @@ bool EventSystem::progress(RemoteEvent& ev) {
     case EventKind::SnapshotSave: {
       const auto h = header.get<SnapshotSaveHeader>();
       OMPC_CHECK(memory_ != nullptr);
-      offload::TargetPtr shadow = 0;
-      if (opts_.data_plane == DataPlane::Rma) {
-        // Allocate the shadow (auto-registered as a window) and fill it
-        // with a rank-local self-put: the same one-sided path the
-        // cross-rank transfers use, delivered inline since src == dst.
-        shadow = memory_->alloc(h.size);
-        data_comm_for(a.tag)
-            .put(rank_, shadow, 0, memory_->share(h.src, h.size),
-                 kTagSnapshotPut)
-            .wait();
-      } else {
-        shadow = memory_->snapshot(h.src, h.size);
-      }
+      const offload::TargetPtr shadow = memory_->snapshot(h.src, h.size);
       ArchiveWriter w;
       w.put(shadow);
       send_completion(a.origin, a.tag, w.take());
@@ -904,7 +896,7 @@ bool EventSystem::progress(RemoteEvent& ev) {
       // Tolerant: a head promoted from a one-boundary-stale replica may
       // drop shadows this rank released under the old head (orphan sweeps
       // after the generation the replica never saw). Ack the no-op.
-      if (!memory_->try_free(h.ptr))
+      if (!free_block(h.ptr))
         OMPC_LOG_DEBUG("snapshot drop of unknown shadow "
                        << h.ptr << " (stale post-failover state) ignored");
       send_completion(a.origin, a.tag, {});
@@ -914,13 +906,12 @@ bool EventSystem::progress(RemoteEvent& ev) {
       const auto h = header.get<RmaPutHeader>();
       OMPC_CHECK(memory_ != nullptr);
       if (ev.phase == 0) {
-        if (opts_.persistent_channels) {
-          // Steady-state fast path: a re-armed put into the pre-resolved
-          // window — no fresh request state, no re-registration.
-          ev.put_channel = arm_put_channel(h, a.tag);
-          if (ev.put_channel != nullptr) ev.phase = 2;
-        }
-        if (ev.phase == 0) {
+        // Steady-state fast path: a re-armed put into the pre-resolved
+        // window — no fresh request state, no re-registration.
+        ev.put_channel = arm_put_channel(h, a.tag);
+        if (ev.put_channel != nullptr) {
+          ev.phase = 2;
+        } else {
           // One-sided forward: put straight into the peer's registered
           // block. The payload shares our device memory (zero-copy
           // source); the request completes when the peer acked the
@@ -957,84 +948,6 @@ bool EventSystem::progress(RemoteEvent& ev) {
       send_completion(a.origin, a.tag, {});
       return true;
     }
-    case EventKind::ExchangeSend: {
-      const auto h = header.get<ExchangeSendHeader>();
-      OMPC_CHECK(memory_ != nullptr);
-      data_comm_for(h.data_tag).isend_payload(memory_->share(h.src, h.size),
-                                             h.peer, h.data_tag);
-      send_completion(a.origin, a.tag, {});
-      return true;
-    }
-    case EventKind::ExchangeRecv: {
-      const auto h = header.get<ExchangeRecvHeader>();
-      if (ev.phase == 0) {
-        if (opts_.persistent_channels && h.data_tag >= kChannelTagBase) {
-          ev.recv_channel = arm_recv_channel(h.data_tag, h.dst, h.size,
-                                             h.peer);
-          if (ev.recv_channel != nullptr) ev.phase = 2;
-        }
-        if (ev.phase == 0) {
-          ev.io = data_comm_for(h.data_tag).irecv(
-              reinterpret_cast<void*>(h.dst), h.size, h.peer, h.data_tag);
-          ev.phase = 1;
-        }
-      }
-      bool landed = false;
-      if (ev.phase == 2) {
-        try {
-          landed = ev.recv_channel->pr.test();
-        } catch (const mpi::RankKilledError& e) {
-          if (e.rank() == rank_) throw;
-          // The peer died with the cycle armed: fail_persistent_from
-          // cancelled the pre-posted slot (the satellite kill-safety
-          // contract — never a zombie). Retire the channel and ack.
-          {
-            std::lock_guard<std::mutex> lock(channel_mutex_);
-            const auto it = recv_channels_.find(h.data_tag);
-            if (it != recv_channels_.end() && it->second == ev.recv_channel)
-              recv_channels_.erase(it);
-            ev.recv_channel->in_use = false;
-          }
-          ev.recv_channel.reset();
-          send_completion(a.origin, a.tag, {});
-          return true;
-        }
-      } else {
-        landed = ev.io.test();
-      }
-      if (!landed) {
-        // A payload from a dead peer will never arrive; abort the event
-        // instead of parking it forever. The head has already failed
-        // the origin half, so this completion is dropped there as late.
-        // A dead *origin* aborts too: a head that died after starting this
-        // half but before starting the matching send leaves the payload
-        // unsent forever, and the promoted head must be able to drain us.
-        // Unpost the irecv: recovery may free h.dst, and a stale in-flight
-        // payload landing there afterwards would be a use-after-free.
-        if (is_rank_dead(h.peer) || is_rank_dead(a.origin)) {
-          if (ev.phase == 2) {
-            // Dropping the last channel ref disarms the pre-posted slot.
-            std::lock_guard<std::mutex> lock(channel_mutex_);
-            const auto it = recv_channels_.find(h.data_tag);
-            if (it != recv_channels_.end() && it->second == ev.recv_channel)
-              recv_channels_.erase(it);
-            ev.recv_channel.reset();
-          } else {
-            control_.cancel(ev.io);
-          }
-          send_completion(a.origin, a.tag, {});
-          return true;
-        }
-        return false;
-      }
-      if (ev.phase == 2) {
-        std::lock_guard<std::mutex> lock(channel_mutex_);
-        ev.recv_channel->in_use = false;
-        ev.recv_channel.reset();
-      }
-      send_completion(a.origin, a.tag, {});
-      return true;
-    }
     case EventKind::HeadState: {
       // Replication update. Like Submit, the payload is posted before the
       // announce, so the irecv always matches — no dead-origin abort needed.
@@ -1064,12 +977,12 @@ bool EventSystem::progress(RemoteEvent& ev) {
         if (!queue_.empty() || active_events_ != 1) return false;
       }
       const auto h = header.get<TrimHeapHeader>();
-      std::vector<offload::TargetPtr> keep;
-      keep.reserve(h.keep_count);
+      std::unordered_set<offload::TargetPtr> keep;
       for (std::uint64_t i = 0; i < h.keep_count; ++i)
-        keep.push_back(header.get<offload::TargetPtr>());
+        keep.insert(header.get<offload::TargetPtr>());
       OMPC_CHECK(memory_ != nullptr);
-      memory_->retain_only(keep);
+      for (const offload::TargetPtr p : memory_->blocks())
+        if (keep.count(p) == 0) free_block(p);
       send_completion(a.origin, a.tag, {});
       return true;
     }

@@ -40,8 +40,8 @@ class ReplicaStore;
 /// events manage. Head code never dereferences these addresses (distinct
 /// address spaces by discipline, DESIGN.md decision 1).
 ///
-/// Blocks are shared-ownership so outbound payloads (Retrieve/ExchangeSend)
-/// can send device memory zero-copy: share() pins the block for the life of
+/// Blocks are shared-ownership so outbound payloads (Retrieve, RmaPut) can
+/// send device memory zero-copy: share() pins the block for the life of
 /// the in-flight message, surviving a concurrent Delete event and even this
 /// rank dying with the payload still on the simulated wire.
 ///
@@ -85,11 +85,8 @@ class WorkerMemory {
   /// cached channel keyed by address cannot alias a future block.
   std::shared_ptr<const void> pin(offload::TargetPtr ptr) const;
 
-  /// Frees every block whose address is not in `keep` (TrimHeap): heap
-  /// reconciliation after a head failover, when the dead head's bookkeeping
-  /// for all non-checkpoint blocks is unrecoverable. Windows go with the
-  /// blocks; in-flight payloads sharing a freed block stay pinned.
-  void retain_only(const std::vector<offload::TargetPtr>& keep);
+  /// Addresses of every live block (TrimHeap frees all but a keep-set).
+  std::vector<offload::TargetPtr> blocks() const;
 
   std::size_t live() const;
 
@@ -110,9 +107,8 @@ class WorkerMemory {
 /// thread until the destination's completion notification arrives.
 class OriginEvent {
  public:
-  /// `peer` is the third rank involved, if any (the opposite half of a
-  /// worker->worker exchange); a failure of either dest or peer fails the
-  /// event.
+  /// `peer` is the third rank involved, if any (the target of an RmaPut);
+  /// a failure of either dest or peer fails the event.
   OriginEvent(mpi::Tag tag, EventKind kind, mpi::Rank dest,
               mpi::Rank peer = mpi::kAnySource)
       : tag_(tag), kind_(kind), dest_(dest), peer_(peer) {}
@@ -123,7 +119,7 @@ class OriginEvent {
   mpi::Rank peer() const noexcept { return peer_; }
 
   /// Blocks until completion; returns the destination's result blob.
-  /// Throws WorkerDiedError if the destination (or exchange peer) died
+  /// Throws WorkerDiedError if the destination (or the peer) died
   /// before completing the event.
   const Bytes& wait();
 
@@ -181,9 +177,9 @@ class EventSystem {
   // --- origin API (head helper threads) --------------------------------
 
   /// Creates an event, ships its notification (and eager payload, for
-  /// Submit) and returns the waitable origin half. `peer` marks the other
-  /// half of a worker->worker exchange (failure of either rank fails the
-  /// event). Throws WorkerDiedError when dest/peer is already known dead.
+  /// Submit) and returns the waitable origin half. `peer` marks the target
+  /// rank of an RmaPut (failure of either rank fails the event). Throws
+  /// WorkerDiedError when dest/peer is already known dead.
   /// A borrowed payload is safe here: the destination completes the event
   /// only after delivery, and the origin blocks in wait() until then.
   OriginEventPtr start(mpi::Rank dest, EventKind kind, Bytes header,
@@ -219,13 +215,13 @@ class EventSystem {
   // --- fault handling (paper §5) ---------------------------------------
 
   /// Declares `dead` failed: every origin event whose destination or
-  /// exchange peer is `dead` completes exceptionally (wait() throws
+  /// peer is `dead` completes exceptionally (wait() throws
   /// WorkerDiedError) and future start()s to it throw immediately.
   /// Thread-safe; called by the failure detector on the head.
   void fail_rank(mpi::Rank dead);
 
-  /// Head only: tells every live worker that `dead` died, so they abort
-  /// pending events (exchange halves) that involve it.
+  /// Head only: tells every live worker that `dead` died, so they drop
+  /// their channel caches and re-test parked events that involve it.
   void announce_rank_dead(mpi::Rank dead);
 
   /// Whether `r` has been declared dead (local knowledge).
@@ -258,6 +254,10 @@ class EventSystem {
   const EventSystemStats& stats() const { return stats_; }
   mpi::Rank rank() const noexcept { return rank_; }
 
+  /// Entries in the persistent-channel cache (put + recv channels). A
+  /// gauge: bounded by the live blocks, not by the number of waves run.
+  std::size_t cached_channels() const;
+
  private:
   // --- persistent channels (destination side) --------------------------
   //
@@ -276,7 +276,7 @@ class EventSystem {
   using PutKey = std::tuple<mpi::Rank, offload::TargetPtr, std::uint64_t,
                             offload::TargetPtr, std::uint64_t>;
 
-  /// Pre-posted receive on a fixed channel tag (Submit / ExchangeRecv).
+  /// Pre-posted receive on a fixed channel tag (Submit).
   struct RecvChannel {
     mpi::PersistentRequest pr;
     offload::TargetPtr dst = 0;
@@ -290,7 +290,7 @@ class EventSystem {
     EventAnnounce announce;
     std::uint64_t id = 0;  ///< parking key, assigned when first parked
     int phase = 0;
-    mpi::Request io;  ///< pending irecv for Submit / ExchangeRecv
+    mpi::Request io;  ///< pending irecv (Submit, HeadState) or put (RmaPut)
     std::shared_ptr<Bytes> blob;  ///< HeadState payload landing buffer
     std::shared_ptr<PutChannel> put_channel;    ///< phase 2: persistent put
     std::shared_ptr<RecvChannel> recv_channel;  ///< phase 2: persistent recv
@@ -310,9 +310,12 @@ class EventSystem {
                                                 std::uint64_t size,
                                                 mpi::Rank peer);
 
-  /// Drops every channel that reads or writes the local block at `p`
-  /// (about to be freed by a Delete event).
-  void evict_channels_for(offload::TargetPtr p);
+  /// Frees the local block at `p` (false: unknown address) after dropping
+  /// every cached channel that reads from or lands in it. Every block free
+  /// (Delete, SnapshotDrop, TrimHeap) goes through here: a cached channel
+  /// pins its source block, so a free that skipped the eviction would keep
+  /// the block alive until the launch ends.
+  bool free_block(offload::TargetPtr p);
 
   /// Drops the whole channel cache (RankDead: any cached shape may involve
   /// the corpse, and post-recovery tags are fresh anyway).
@@ -330,8 +333,8 @@ class EventSystem {
   /// (no-op if it is no longer parked).
   void wake(std::uint64_t id);
 
-  /// Re-queues every parked event (a rank died: pending exchange halves
-  /// must re-check their peers and abort).
+  /// Re-queues every parked event (a rank died: each re-tests its request,
+  /// and one the death failed settles).
   void wake_all_parked();
 
   /// Re-queues the idle waiters once the queue is drained and no event is
@@ -372,7 +375,7 @@ class EventSystem {
 
   // Channel caches (see the structs above). The mutex guards the maps and
   // the in_use flags; a cycle in flight is owned by exactly one handler.
-  std::mutex channel_mutex_;
+  mutable std::mutex channel_mutex_;
   std::map<PutKey, std::shared_ptr<PutChannel>> put_channels_;
   std::unordered_map<mpi::Tag, std::shared_ptr<RecvChannel>> recv_channels_;
 

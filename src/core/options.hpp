@@ -38,27 +38,14 @@ enum class CheckpointLocality {
   /// copied there — capture cost scales with dirty bytes × head bandwidth.
   Head,
   /// Each worker snapshots its dirty buffers into device-local shadow
-  /// copies; the head keeps metadata only (plus bytes for head-resident
-  /// buffers). No redundancy: the snapshot dies with its owner.
-  WorkerLocal,
-  /// WorkerLocal plus one replica on a buddy rank (the owner's ring
-  /// successor among the live workers), shipped over the direct
-  /// worker->worker Exchange path. Recovery survives the owner's death;
-  /// owner AND buddy dying in one period degrades to a clean
-  /// RecoveryError (or the head entry when one exists).
+  /// copies and puts one replica on a buddy rank (the owner's ring
+  /// successor among the live workers); the head keeps metadata only
+  /// (plus bytes for head-resident buffers). Recovery survives the owner's
+  /// death; owner AND buddy dying in one period degrades to a clean
+  /// RecoveryError (or the head entry when one exists). With fewer than
+  /// two live workers there is no buddy and the owner's shadow is the
+  /// only copy.
   Buddy,
-};
-
-/// How bulk buffer bytes travel between ranks (exchange, buddy replicas).
-enum class DataPlane {
-  /// Two-sided baseline: every forward is an ExchangeSend/ExchangeRecv
-  /// event pair rendezvousing on a shared data tag (5 control+data
-  /// messages per forward). Kept for bench/ablation comparison.
-  Rendezvous,
-  /// One-sided: a single RmaPut event; the producer puts straight into the
-  /// consumer's pre-registered window (4 messages per forward, no receive
-  /// handler on the consumer's event path).
-  Rma,
 };
 
 /// Task-to-worker scheduling policy (§4.4 + ablations).
@@ -115,19 +102,7 @@ struct ClusterOptions {
 
   AsyncMode async_mode = AsyncMode::HelperThreads;
   Forwarding forwarding = Forwarding::Direct;
-  DataPlane data_plane = DataPlane::Rma;
   SchedulerKind scheduler = SchedulerKind::Heft;
-
-  /// Persistent message channels (ablation knob, bench/fig5_halo): when the
-  /// schedule cache hits — same structural_hash, same live-worker set — the
-  /// steady-state wave path arms a ChannelPlan of pre-posted receives and
-  /// pre-armed one-sided puts (minimpi send_init/recv_init/put_init) and
-  /// the Data Manager keeps device allocations alive across waves, so a
-  /// repeated wave re-uses its channels instead of re-allocating mailbox
-  /// slots and re-resolving windows. Invalidated on rollback, membership
-  /// change, head failover and tenant-set change, so recovery stays
-  /// bitwise-identical to the transient path. Off = every wave transient.
-  bool persistent_channels = true;
 
   /// Transport conduit for the simulated universe (see minimpi/conduit.hpp;
   /// the OMPC_CONDUIT environment variable overrides this process-wide and

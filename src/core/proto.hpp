@@ -26,8 +26,6 @@ enum class EventKind : std::uint8_t {
   Delete,        ///< free device memory
   Submit,        ///< receive buffer data from the origin (host -> worker)
   Retrieve,      ///< send buffer data to the origin (worker -> host)
-  ExchangeSend,  ///< send a local buffer directly to another worker
-  ExchangeRecv,  ///< receive a buffer directly from another worker
   Execute,       ///< run a registered kernel on local device memory
   Shutdown,      ///< stop the event system (sent once by the head)
   RankDead,      ///< head -> workers: a rank died; abort events touching it
@@ -40,10 +38,10 @@ enum class EventKind : std::uint8_t {
   SnapshotFetch,  ///< send shadow bytes to the origin (restore path) —
                   ///< wire-identical to Retrieve, distinct for accounting
 
-  /// One-sided forward: the destination rank puts a local region straight
-  /// into a pre-registered window of `peer` (Comm::put). Replaces the
-  /// ExchangeSend/ExchangeRecv pair on the RMA data plane — one event, no
-  /// receive posted at the peer, the bytes land via the window registry.
+  /// One-sided forward (§4.3 worker->worker exchange, buddy replicas): the
+  /// destination rank puts a local region straight into a pre-registered
+  /// window of `peer` (Comm::put) — one event, no receive posted at the
+  /// peer, the bytes land via the window registry.
   RmaPut,
 
   // Head failover / elastic membership (§5 extension).
@@ -76,12 +74,6 @@ const char* to_string(EventKind k);
 enum ControlTag : mpi::Tag {
   kTagNewEvent = 1,  ///< new-event notifications (control comm)
   kTagComplete = 2,  ///< completion notifications (control comm)
-
-  /// Tag for the rank-local self-put that fills a snapshot shadow. A
-  /// control tag (below the data-tag boundary) on purpose: the bytes never
-  /// leave the rank, so the write must stay out of the wire-copy
-  /// accounting exactly like the memcpy it replaced.
-  kTagSnapshotPut = 3,
 };
 
 /// First tag usable by events (small tags are control tags). Anchored to
@@ -105,10 +97,8 @@ inline constexpr int kMaxChannelRanks = (1 << 20) / kChannelTagsPerRank;
 // Layout invariants of the tag map. Control tags are pairwise distinct and
 // below the data boundary; event tags start at the boundary; channel tags
 // occupy the top of the user range without touching the collective space.
-static_assert(kTagNewEvent != kTagComplete &&
-              kTagComplete != kTagSnapshotPut &&
-              kTagNewEvent != kTagSnapshotPut);
-static_assert(kTagNewEvent > 0 && kTagSnapshotPut < mpi::kFirstDataTag,
+static_assert(kTagNewEvent != kTagComplete);
+static_assert(kTagNewEvent > 0 && kTagComplete < mpi::kFirstDataTag,
               "control tags must stay below the data-tag boundary");
 static_assert(kFirstEventTag >= mpi::kFirstDataTag,
               "event data tags must be visible to copy accounting");
@@ -158,26 +148,9 @@ struct SnapshotDropHeader {
 };
 
 /// Broadcast by the head after the failure detector declares a rank dead so
-/// workers abort events (pending exchanges) that involve the corpse.
+/// workers drop their cached channels and re-test events parked on I/O.
 struct RankDeadHeader {
   mpi::Rank rank = -1;
-};
-
-/// The two halves of a worker->worker forward share one wire tag
-/// (`data_tag`) so the payload matches even though each half is its own
-/// event with its own notification tag.
-struct ExchangeSendHeader {
-  offload::TargetPtr src = 0;
-  std::uint64_t size = 0;
-  mpi::Rank peer = 0;      ///< destination worker rank
-  mpi::Tag data_tag = 0;   ///< tag of the payload message
-};
-
-struct ExchangeRecvHeader {
-  offload::TargetPtr dst = 0;
-  std::uint64_t size = 0;
-  mpi::Rank peer = 0;      ///< source worker rank
-  mpi::Tag data_tag = 0;   ///< tag of the payload message
 };
 
 /// RmaPut: the destination rank writes [src, src+size) of its device heap

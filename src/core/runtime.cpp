@@ -20,7 +20,7 @@ Runtime::Runtime(const ClusterOptions& opts, EventSystem& events,
       events_(&events),
       dm_(events, opts),
       graph_(fresh_graph()),
-      ckpt_(&events, opts.checkpoint_locality, opts.data_plane),
+      ckpt_(&events, opts.checkpoint_locality),
       bus_(bus) {
   // Scheduler processors map onto this live-worker table; recovery shrinks
   // it, which is how survivors are re-ranked after a failure. Spare ranks
@@ -283,10 +283,8 @@ void Runtime::run_wave(const ClusterGraph& graph) {
     // The dispatched transfers ride pre-posted persistent receives and
     // pre-armed puts, and write invalidations keep device blocks for next
     // wave's re-fill.
-    if (opts_.persistent_channels) {
-      dm_.arm_channels();
-      ++stats_.channels_armed;
-    }
+    dm_.arm_channels();
+    ++stats_.channels_armed;
     last_ = it->second;
     dispatch(graph, it->second);
     return;
@@ -1509,12 +1507,15 @@ RuntimeStats launch(const ClusterOptions& opts,
 
   // Every rank adds its event system's counters once its threads joined.
   EventSystemStats event_totals;
-  const auto add_event_totals = [&event_totals](EventSystem& es) {
+  std::atomic<std::int64_t> cached_channels{0};
+  const auto add_event_totals = [&event_totals,
+                                 &cached_channels](EventSystem& es) {
     es.join();
     const EventSystemStats& s = es.stats();
     event_totals.handled += s.handled.load();
     event_totals.parked += s.parked.load();
     event_totals.wakeups += s.wakeups.load();
+    cached_channels += static_cast<std::int64_t>(es.cached_channels());
   };
 
   mpi::Universe universe(uopts);
@@ -1730,6 +1731,7 @@ RuntimeStats launch(const ClusterOptions& opts,
   stats.events_handled = event_totals.handled.load();
   stats.events_parked = event_totals.parked.load();
   stats.event_wakeups = event_totals.wakeups.load();
+  stats.channel_cache_entries = cached_channels.load();
   stats.messages_sent = universe.messages_sent();
   stats.payload_copies = mpi::payload_copies() - payload_copies_before;
   stats.wall_ns = wall.elapsed_ns();

@@ -3,9 +3,8 @@
 // is two tasks per subdomain — pack (boundary layers -> 6 face buffers) and
 // update (7-point stencil reading the 6 facing neighbor faces) — with one
 // wait_all() per iteration, so steady state is the SAME wave re-recorded
-// every step: the schedule cache hits and, with persistent_channels on, the
-// runtime arms its per-wave ChannelPlan (bench/fig5_halo gates exactly
-// that). Shared by examples/halo3d, bench/fig5_halo and tests/test_halo.
+// every step: the schedule cache hits and the runtime arms its per-wave
+// ChannelPlan (bench/fig5_halo gates exactly that). Shared by examples/halo3d, bench/fig5_halo and tests/test_halo.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +30,14 @@ struct HaloSpec {
 struct HaloResult {
   core::RuntimeStats stats;
   /// FNV-1a over the final field bits (subdomain-major) — bitwise result
-  /// identity, used to compare persistent/transient/recovery runs and the
-  /// serial reference.
+  /// identity, used to compare recovery runs and the serial reference.
   std::uint64_t checksum = 0;
   /// Head wall time of each iteration (task recording + wait_all).
   std::vector<std::int64_t> iter_ns;
 };
 
 /// Runs the workload through the cluster runtime. The caller owns every
-/// knob via `opts` (conduit, persistent_channels, checkpointing, kills...).
+/// knob via `opts` (conduit, checkpointing, kills...).
 /// `before_iter`, when set, runs on the head before each iteration's tasks
 /// are recorded — the membership tests use it to join/leave workers while
 /// channels are armed.

@@ -5,8 +5,8 @@
 // put/get: the origin names (rank, window id, offset) and the universe's
 // delivery dispatcher moves the bytes directly — no receive is posted, no
 // matching happens, and the target's event handlers are never involved.
-// That is what turns the runtime's repeated rendezvous pairs (Exchange,
-// buddy replication) into single put operations.
+// That is what lets the runtime's bulk transfers (worker->worker exchange,
+// buddy replication) each be a single put operation.
 //
 // Registration is local (win_create registers the calling rank's memory;
 // there is no collective epoch, targets register eagerly — the worker heap

@@ -85,6 +85,30 @@ TEST(WorkerLocalCheckpoint, BuddyModeKeepsCaptureBytesOffTheHead) {
   EXPECT_EQ(rb.stats.checkpoint_bytes, rh.stats.checkpoint_bytes);
 }
 
+TEST(WorkerLocalCheckpoint, BuddyChannelCacheDoesNotGrowWithWaves) {
+  // Every buddy replica is an RmaPut, and the worker caches each RmaPut as
+  // a put channel that pins its source shadow. Commits free the shadows of
+  // dropped generations, so the channels reading them must go too: what a
+  // launch leaves cached is bounded by the live shadows, not by the waves
+  // it ran.
+  TaskBenchSpec spec = stepwise_spec(Pattern::Stencil1D);
+  spec.iterations = 0;
+  ClusterOptions opts = buddy_opts(3);
+  opts.heartbeat_period_ms = 0;
+  opts.network = {};
+
+  spec.steps = 4;
+  const auto few = taskbench::run_ompc_stepwise(spec, opts);
+  ASSERT_EQ(few.checksum, expected_checksum(spec));
+  spec.steps = 12;
+  const auto many = taskbench::run_ompc_stepwise(spec, opts);
+  ASSERT_EQ(many.checksum, expected_checksum(spec));
+
+  EXPECT_GT(many.stats.snapshot_replicas, few.stats.snapshot_replicas);
+  EXPECT_EQ(many.stats.channel_cache_entries,
+            few.stats.channel_cache_entries);
+}
+
 // --- owner dies: restore from the buddy, all 4 patterns -------------------
 
 class BuddyRecoveryAcrossPatterns : public ::testing::TestWithParam<Pattern> {
@@ -374,23 +398,26 @@ TEST(WorkerLocalCheckpoint, CleanEntryWithDeadHoldersIsRecaptured) {
   c.run([](DataManager& dm, EventSystem& events, mpi::Universe& u) {
     std::uint64_t cell = 0;
     dm.register_buffer(&cell, sizeof cell);
-    CheckpointStore ckpt(&events, CheckpointLocality::WorkerLocal);
+    CheckpointStore ckpt(&events, CheckpointLocality::Buddy);
     const mpi::Rank live[] = {1, 2, 3};
 
     write_on_worker(dm, events, 1, &cell, 5);
     ckpt.capture(dm, 0, live);
     EXPECT_EQ(ckpt.worker_resident_entries(), 1u);
+    EXPECT_EQ(ckpt.stats().snapshot_replicas, 1);
 
-    // WorkerLocal has no buddy: the owner dying strands the snapshot...
+    // The owner (rank 1) and its buddy (rank 2) die together: the snapshot
+    // is stranded...
     kill_and_wait(u, 1);
+    kill_and_wait(u, 2);
     dm.purge_rank(1);
+    dm.purge_rank(2);
     dm.reset_all_to_host();
     EXPECT_THROW(ckpt.restore(dm), RecoveryError);
 
     // ...but the next boundary self-heals: the clean entry is re-captured
-    // from the head copy (which still holds 0 after reset) instead of
-    // reused, and restore works again.
-    const mpi::Rank survivors[] = {2, 3};
+    // from the head copy instead of reused, and restore works again.
+    const mpi::Rank survivors[] = {3};
     cell = 5;  // pretend replay regenerated the value on the head
     ckpt.capture(dm, 1, survivors);
     EXPECT_EQ(ckpt.worker_resident_entries(), 0u);

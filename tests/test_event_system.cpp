@@ -88,7 +88,7 @@ TEST(EventSystem, SubmitThenRetrieveRoundTrips) {
   });
 }
 
-TEST(EventSystem, ExchangeForwardsWorkerToWorker) {
+TEST(EventSystem, RmaPutForwardsWorkerToWorker) {
   with_cluster(2, [](EventSystem& es) {
     const std::size_t n = 512;
     const auto src = alloc_on(es, 1, n);
@@ -98,16 +98,11 @@ TEST(EventSystem, ExchangeForwardsWorkerToWorker) {
     sh.put(SubmitHeader{src, n});
     es.run(1, EventKind::Submit, sh.take(), Bytes(payload));
 
-    // Head commands the forward; data flows 1 -> 2 directly.
-    const mpi::Tag data_tag = es.allocate_tag();
-    ArchiveWriter rh;
-    rh.put(ExchangeRecvHeader{dst, n, 1, data_tag});
-    auto recv_ev = es.start(2, EventKind::ExchangeRecv, rh.take());
-    ArchiveWriter th;
-    th.put(ExchangeSendHeader{src, n, 2, data_tag});
-    auto send_ev = es.start(1, EventKind::ExchangeSend, th.take());
-    send_ev->wait();
-    recv_ev->wait();
+    // Head commands the forward; rank 1 puts straight into rank 2's block
+    // (its window id is its address) — data flows 1 -> 2 directly.
+    ArchiveWriter ph;
+    ph.put(RmaPutHeader{src, n, 2, dst, 0});
+    es.start(1, EventKind::RmaPut, ph.take(), {}, 2)->wait();
 
     Bytes back(n);
     es.start_retrieve(2, dst, back.data(), n)->wait();

@@ -1,10 +1,9 @@
 // ChannelPlan acceptance on the 3D halo-exchange workload (src/halo): a
 // steady-state iterative app must arm persistent channels and re-use its
 // device allocations, produce results bitwise-identical to the serial
-// oracle and the transient ablation, and survive every event that
-// invalidates the plan — worker death + rollback, head failover, and
-// runtime join/leave — without diverging. The _shm ctest rerun runs the
-// same suite over the shared-memory conduit.
+// oracle, and survive every event that invalidates the plan — worker death
+// + rollback, head failover, and runtime join/leave — without diverging.
+// The _shm ctest rerun runs the same suite over the shared-memory conduit.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,15 +40,14 @@ HaloSpec small_spec(int iters) {
   return s;
 }
 
-core::ClusterOptions base_opts(bool persistent) {
+core::ClusterOptions base_opts() {
   core::ClusterOptions o;
   o.num_workers = 3;
-  o.persistent_channels = persistent;
   return o;
 }
 
-core::ClusterOptions fault_opts(bool persistent) {
-  core::ClusterOptions o = base_opts(persistent);
+core::ClusterOptions fault_opts() {
+  core::ClusterOptions o = base_opts();
   o.heartbeat_period_ms = 5;
   o.heartbeat_timeout_ms = 60;
   o.checkpoint_period = 1;
@@ -59,7 +57,7 @@ core::ClusterOptions fault_opts(bool persistent) {
 
 TEST(Halo3D, SteadyStateArmsChannelsAndMatchesSerial) {
   const HaloSpec spec = small_spec(6);
-  const HaloResult r = run_halo3d(base_opts(true), spec);
+  const HaloResult r = run_halo3d(base_opts(), spec);
   EXPECT_EQ(r.checksum, serial_checksum(spec));
   // Identical waves: everything past the warmup runs armed and re-uses
   // the previous iteration's device allocations.
@@ -68,23 +66,11 @@ TEST(Halo3D, SteadyStateArmsChannelsAndMatchesSerial) {
   EXPECT_GT(r.stats.persistent_reuses, 0);
 }
 
-TEST(Halo3D, TransientAblationBitwiseIdenticalAndNeverArms) {
-  const HaloSpec spec = small_spec(5);
-  const HaloResult on = run_halo3d(base_opts(true), spec);
-  const HaloResult off = run_halo3d(base_opts(false), spec);
-  EXPECT_EQ(on.checksum, off.checksum);
-  EXPECT_EQ(off.checksum, serial_checksum(spec));
-  EXPECT_EQ(off.stats.channels_armed, 0);
-  EXPECT_EQ(off.stats.persistent_reuses, 0);
-  // The ablation pays for renegotiation every wave.
-  EXPECT_LT(on.stats.messages_sent, off.stats.messages_sent);
-}
-
 TEST(Halo3D, WorkerDeathRollbackInvalidatesArmedChannels) {
   // A worker dies while the plan is armed: rollback disarms, recovery
   // replays, steady state re-arms — result bitwise-identical.
   const HaloSpec spec = small_spec(15);
-  core::ClusterOptions opts = fault_opts(true);
+  core::ClusterOptions opts = fault_opts();
   opts.kills.push_back({2, at_ms(25)});
   const HaloResult r = run_halo3d(opts, spec);
   EXPECT_EQ(r.checksum, serial_checksum(spec));
@@ -96,7 +82,7 @@ TEST(Halo3D, HeadFailoverWithChannelsArmedStaysBitwise) {
   // The head dies mid-run: the promoted head starts with no armed plan and
   // a disjoint channel-tag stripe, so orphaned payloads can never match.
   const HaloSpec spec = small_spec(15);
-  core::ClusterOptions opts = fault_opts(true);
+  core::ClusterOptions opts = fault_opts();
   opts.kills.push_back({0, at_ms(25)});
   const HaloResult r = run_halo3d(opts, spec);
   EXPECT_EQ(r.checksum, serial_checksum(spec));
@@ -107,7 +93,7 @@ TEST(Halo3D, JoinAndLeaveInvalidateWhileIterating) {
   // Membership churn mid-run: a spare joins (the schedule re-spreads, the
   // plan disarms and re-arms around the new shape), then a worker leaves.
   const HaloSpec spec = small_spec(12);
-  core::ClusterOptions opts = fault_opts(true);
+  core::ClusterOptions opts = fault_opts();
   opts.spare_workers = 1;
   const HaloResult r = run_halo3d(
       opts, spec, [](core::Runtime& rt, int it) {

@@ -90,11 +90,13 @@ TEST(Proto, EventKindNamesAreDistinct) {
   std::set<std::string> names;
   for (EventKind k :
        {EventKind::Alloc, EventKind::Delete, EventKind::Submit,
-        EventKind::Retrieve, EventKind::ExchangeSend, EventKind::ExchangeRecv,
-        EventKind::Execute, EventKind::Shutdown}) {
+        EventKind::Retrieve, EventKind::Execute, EventKind::Shutdown,
+        EventKind::RankDead, EventKind::SnapshotSave, EventKind::SnapshotDrop,
+        EventKind::SnapshotFetch, EventKind::RmaPut, EventKind::HeadState,
+        EventKind::TrimHeap, EventKind::MembershipUpdate}) {
     EXPECT_TRUE(names.insert(to_string(k)).second);
   }
-  EXPECT_EQ(names.size(), 8u);
+  EXPECT_EQ(names.size(), 14u);
 }
 
 }  // namespace
