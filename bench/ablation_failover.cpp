@@ -16,6 +16,14 @@
 // latency. Election and replica adoption add work, but both episodes are
 // dominated by the same heartbeat timeout and wave replay, so an order-of-
 // magnitude gap means the failover path regressed.
+//
+// Head locality (the default) keeps every snapshot's bytes on the head, so
+// replication must carry them to the shadow. Two more runs cover it: a
+// failure-free one, whose replication bytes per wave may exceed the
+// checkpoint's dirty bytes per wave by at most kMetadataAllowance (each
+// snapshot blob travels once; re-sending both retained generations every
+// wave would cost about four times the dirty bytes), and a head kill that
+// must stay bitwise-identical.
 #include <fstream>
 
 #include "bench_util.hpp"
@@ -24,6 +32,15 @@
 
 using namespace ompc;
 using namespace ompc::taskbench;
+
+namespace {
+
+/// Per-wave replication bytes above the dirty bytes that Head locality may
+/// spend: the stats block, rosters, ownership registry, per-entry
+/// checkpoint records and the wave's graph (~4.4 KB on this shape).
+constexpr double kMetadataAllowance = 8 * 1024;
+
+}  // namespace
 
 int main() {
   const mpi::NetworkModel net = bench::bench_network();
@@ -79,6 +96,33 @@ int main() {
       waves > 0 ? static_cast<double>(repl_bytes) / static_cast<double>(waves)
                 : 0.0;
 
+  // --- 1b. Head locality: snapshot bytes ride the replication ------------
+  core::ClusterOptions head_mode = base;
+  head_mode.checkpoint_locality = core::CheckpointLocality::Head;
+  RunningStats head_healthy;
+  std::int64_t head_repl_bytes = 0;
+  std::int64_t head_dirty_bytes = 0;
+  std::int64_t head_waves = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const RunResult r = run_ompc_stepwise(spec, head_mode);
+    if (r.checksum != expect) {
+      std::fprintf(stderr, "VALIDATION FAILED (Head locality, failure-free)\n");
+      return 1;
+    }
+    head_healthy.add(r.wall_s);
+    head_repl_bytes += r.stats.replication_bytes;
+    head_dirty_bytes += r.stats.checkpoint_dirty_bytes;
+    head_waves += r.stats.waves;
+  }
+  const double head_bytes_per_wave =
+      head_waves > 0 ? static_cast<double>(head_repl_bytes) /
+                           static_cast<double>(head_waves)
+                     : 0.0;
+  const double head_dirty_per_wave =
+      head_waves > 0 ? static_cast<double>(head_dirty_bytes) /
+                           static_cast<double>(head_waves)
+                     : 0.0;
+
   // --- 2. baseline episode: one worker killed ----------------------------
   core::ClusterOptions wkill = base;
   wkill.kills.push_back({2, kill_at_ns});
@@ -109,6 +153,20 @@ int main() {
     failovers += r.stats.failovers;
   }
 
+  // --- 3b. the head killed under Head locality ---------------------------
+  core::ClusterOptions head_hkill = head_mode;
+  head_hkill.kills.push_back({0, kill_at_ns});
+  RunningStats head_failover_wall;
+  RunningStats head_failover_latency_ms;
+  bool head_failover_ok = true;
+  for (int rep = 0; rep < reps; ++rep) {
+    const RunResult r = run_ompc_stepwise(spec, head_hkill);
+    head_failover_ok = head_failover_ok && r.checksum == expect &&
+                       r.stats.failovers >= 1 && r.stats.recoveries >= 1;
+    head_failover_wall.add(r.wall_s);
+    head_failover_latency_ms.add(ns_to_ms(r.stats.recovery_latency_ns));
+  }
+
   Table table({"episode", "wall (s)", "latency (ms)", "bitwise"});
   table.add_row({"none (replication off)", bench::mean_pm_dev(healthy_norep),
                  "-", "yes"});
@@ -120,6 +178,12 @@ int main() {
   table.add_row({"head killed", bench::mean_pm_dev(failover_wall),
                  bench::mean_pm_dev(failover_latency_ms, 1),
                  failover_ok ? "yes" : "DIVERGED"});
+  table.add_row({"none (Head locality)", bench::mean_pm_dev(head_healthy),
+                 "-", "yes"});
+  table.add_row({"head killed (Head locality)",
+                 bench::mean_pm_dev(head_failover_wall),
+                 bench::mean_pm_dev(head_failover_latency_ms, 1),
+                 head_failover_ok ? "yes" : "DIVERGED"});
   table.print(std::cout);
 
   const double ratio =
@@ -132,6 +196,10 @@ int main() {
       "(%.1f failovers across %d runs)\n",
       bytes_per_wave, static_cast<double>(repl_updates) / reps, ratio,
       static_cast<double>(failovers) / reps, reps);
+  std::printf(
+      "Head locality: %.1f replication bytes/wave for %.1f dirty "
+      "bytes/wave (allowance %.0f)\n",
+      head_bytes_per_wave, head_dirty_per_wave, kMetadataAllowance);
 
   {
     std::ofstream json("BENCH_failover.json");
@@ -147,6 +215,12 @@ int main() {
          << "  \"replication_bytes_per_wave\": " << bytes_per_wave << ",\n"
          << "  \"replication_updates_per_run\": "
          << static_cast<double>(repl_updates) / reps << ",\n"
+         << "  \"head_mode_replication_bytes_per_wave\": "
+         << head_bytes_per_wave << ",\n"
+         << "  \"head_mode_dirty_bytes_per_wave\": " << head_dirty_per_wave
+         << ",\n"
+         << "  \"head_mode_failover_latency_ms\": "
+         << head_failover_latency_ms.mean() << ",\n"
          << "  \"worker_recovery_latency_ms\": " << worker_latency_ms.mean()
          << ",\n"
          << "  \"head_failover_latency_ms\": " << failover_latency_ms.mean()
@@ -155,7 +229,9 @@ int main() {
          << "  \"worker_recovery_bitwise_identical\": "
          << (worker_ok ? "true" : "false") << ",\n"
          << "  \"head_failover_bitwise_identical\": "
-         << (failover_ok ? "true" : "false") << "\n"
+         << (failover_ok ? "true" : "false") << ",\n"
+         << "  \"head_mode_failover_bitwise_identical\": "
+         << (head_failover_ok ? "true" : "false") << "\n"
          << "}\n";
   }
   std::printf("wrote BENCH_failover.json\n");
@@ -174,6 +250,18 @@ int main() {
     std::fprintf(stderr,
                  "GATE: failover latency %.2fx worker recovery (limit 5x)\n",
                  ratio);
+    status = 1;
+  }
+  if (!head_failover_ok) {
+    std::fprintf(stderr,
+                 "GATE: Head-locality head failover diverged or never fired\n");
+    status = 1;
+  }
+  if (head_bytes_per_wave > head_dirty_per_wave + kMetadataAllowance) {
+    std::fprintf(stderr,
+                 "GATE: Head-locality replication %.1f bytes/wave exceeds "
+                 "%.1f dirty bytes/wave by more than %.0f\n",
+                 head_bytes_per_wave, head_dirty_per_wave, kMetadataAllowance);
     status = 1;
   }
   if (repl_updates == 0) {

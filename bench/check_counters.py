@@ -45,6 +45,8 @@ COUNTERS = {
     "BENCH_failover.json": [
         "steps", "width", "workers", "checkpoint_period",
         "replication_bytes_per_wave", "replication_updates_per_run",
+        "head_mode_replication_bytes_per_wave",
+        "head_mode_dirty_bytes_per_wave",
     ],
     "BENCH_tenancy.json": [
         "workers", "pool_threads_peak",

@@ -42,6 +42,11 @@ bool CheckpointStore::restorable(const Entry& e) const {
   return false;
 }
 
+void CheckpointStore::set_data(Entry& e, std::shared_ptr<const Bytes> bytes) {
+  e.data = std::move(bytes);
+  e.blob_id = ++last_blob_id_;
+}
+
 std::size_t CheckpointStore::worker_resident_entries() const {
   std::size_t n = 0;
   for (const Entry& e : entries_) {
@@ -109,7 +114,7 @@ void CheckpointStore::capture_on_head(DataManager& dm,
     Entry& e = fresh[i];
     auto bytes = std::make_shared<Bytes>(e.size);
     std::memcpy(bytes->data(), e.host, e.size);
-    e.data = std::move(bytes);
+    set_data(e, std::move(bytes));
     e.generation = generation_ + 1;
   }
 }
@@ -155,7 +160,7 @@ void CheckpointStore::capture_on_workers(
         // registrations): keep the bytes here — a local memcpy, no NIC.
         auto bytes = std::make_shared<Bytes>(e.size);
         std::memcpy(bytes->data(), e.host, e.size);
-        e.data = std::move(bytes);
+        set_data(e, std::move(bytes));
         continue;
       }
       OMPC_CHECK_MSG(where.owner >= 0,
@@ -444,7 +449,7 @@ void CheckpointStore::restore(DataManager& dm) {
       if (e.buddy.rank >= 0) drops.push_back(e.buddy);
       e.owner = {};
       e.buddy = {};
-      e.data = std::move(f.staging);
+      set_data(e, std::move(f.staging));
     }
   } catch (...) {
     // Another failure interrupted the restore (or a snapshot is gone for
@@ -496,9 +501,7 @@ Bytes CheckpointStore::serialize_state() const {
       w.put<std::uint64_t>(reinterpret_cast<std::uintptr_t>(e.host));
       w.put<std::uint64_t>(e.size);
       w.put(e.generation);
-      w.put<std::uint8_t>(e.data != nullptr ? 1 : 0);
-      if (e.data != nullptr)
-        w.put_blob(std::span<const std::byte>(e.data->data(), e.data->size()));
+      w.put(e.blob_id);
       w.put(e.owner.rank);
       w.put(e.owner.ptr);
       w.put(e.buddy.rank);
@@ -508,6 +511,7 @@ Bytes CheckpointStore::serialize_state() const {
   w.put<std::uint8_t>(have_ ? 1 : 0);
   w.put(wave_);
   w.put(generation_);
+  w.put(last_blob_id_);
   put_entries(entries_);
   w.put<std::uint8_t>(prev_have_ ? 1 : 0);
   w.put(prev_wave_);
@@ -521,9 +525,19 @@ Bytes CheckpointStore::serialize_state() const {
   return w.take();
 }
 
-void CheckpointStore::adopt_state(std::span<const std::byte> data) {
+SnapshotBlobs CheckpointStore::blobs() const {
+  SnapshotBlobs out;
+  for (const auto* list : {&entries_, &prev_entries_}) {
+    for (const Entry& e : *list)
+      if (e.data != nullptr) out.emplace(e.blob_id, e.data);
+  }
+  return out;
+}
+
+void CheckpointStore::adopt_state(std::span<const std::byte> data,
+                                  const SnapshotBlobs& blobs) {
   ArchiveReader r(data);
-  const auto get_entries = [&r]() {
+  const auto get_entries = [&r, &blobs]() {
     std::vector<Entry> list;
     const auto n = r.get<std::uint64_t>();
     list.reserve(n);
@@ -533,8 +547,18 @@ void CheckpointStore::adopt_state(std::span<const std::byte> data) {
           static_cast<std::uintptr_t>(r.get<std::uint64_t>()));
       e.size = r.get<std::uint64_t>();
       e.generation = r.get<std::uint64_t>();
-      if (r.get<std::uint8_t>() != 0)
-        e.data = std::make_shared<const Bytes>(r.get_blob());
+      e.blob_id = r.get<std::uint64_t>();
+      if (e.blob_id != 0) {
+        const auto it = blobs.find(e.blob_id);
+        if (it == blobs.end())
+          throw RecoveryError(
+              "replicated checkpoint state references snapshot blob id " +
+              std::to_string(e.blob_id) + " (buffer size " +
+              std::to_string(e.size) +
+              ") that the replica does not hold; head state is "
+              "unrecoverable");
+        e.data = it->second;
+      }
       e.owner.rank = r.get<mpi::Rank>();
       e.owner.ptr = r.get<offload::TargetPtr>();
       e.buddy.rank = r.get<mpi::Rank>();
@@ -546,6 +570,7 @@ void CheckpointStore::adopt_state(std::span<const std::byte> data) {
   have_ = r.get<std::uint8_t>() != 0;
   wave_ = r.get<std::int64_t>();
   generation_ = r.get<std::uint64_t>();
+  last_blob_id_ = r.get<std::uint64_t>();
   entries_ = get_entries();
   prev_have_ = r.get<std::uint8_t>() != 0;
   prev_wave_ = r.get<std::int64_t>();

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -44,6 +45,11 @@
 #include "core/options.hpp"
 
 namespace ompc::core {
+
+/// Head-resident snapshot bytes keyed by replication id. Ids are unique
+/// within a store and never reused, so a replica that holds an id holds
+/// exactly those bytes.
+using SnapshotBlobs = std::map<std::uint64_t, std::shared_ptr<const Bytes>>;
 
 struct CheckpointStats {
   std::int64_t captures = 0;
@@ -109,11 +115,21 @@ class CheckpointStore {
     return last_restore_degraded_;
   }
 
-  /// Head-replication support: flattens the full store state (both
-  /// generations' entries, head-resident bytes included, parked orphans
-  /// and counters) so a promoted head can adopt it.
+  /// Head-replication support: flattens the store state (both
+  /// generations' entries, parked orphans and counters) so a promoted head
+  /// can adopt it. Head-resident bytes are written as replication ids, not
+  /// bytes: blobs() holds them, and a replica ships each id once.
   Bytes serialize_state() const;
-  void adopt_state(std::span<const std::byte> data);
+
+  /// The head-resident snapshot blobs both generations reference, each id
+  /// once — what a replica must hold to adopt serialize_state().
+  SnapshotBlobs blobs() const;
+
+  /// Rebuilds the store from serialize_state() output, resolving every
+  /// replication id in `blobs`. Throws RecoveryError naming the first id
+  /// `blobs` lacks.
+  void adopt_state(std::span<const std::byte> data,
+                   const SnapshotBlobs& blobs);
 
   /// Re-homes the event plane after a head failover (the promoted rank's
   /// event system replaces the dead head's).
@@ -147,12 +163,17 @@ class CheckpointStore {
     /// consecutive snapshot generations so clean buffers cost no copy.
     /// Null when the snapshot lives on workers instead.
     std::shared_ptr<const Bytes> data;
+    std::uint64_t blob_id = 0;  ///< replication id of `data` (0: none)
     Shadow owner;  ///< worker-local shadow (Buddy mode)
     Shadow buddy;  ///< ring-successor replica (none with < 2 live workers)
   };
 
   /// Whether `e`'s bytes can still be produced from some live holder.
   bool restorable(const Entry& e) const;
+
+  /// Makes `bytes` the entry's head-resident snapshot under a fresh
+  /// replication id.
+  void set_data(Entry& e, std::shared_ptr<const Bytes> bytes);
 
   /// Ring successor of `owner` among `live` (-1 when no distinct buddy).
   static mpi::Rank buddy_of(mpi::Rank owner,
@@ -182,6 +203,7 @@ class CheckpointStore {
   std::int64_t wave_ = -1;
   bool have_ = false;
   std::uint64_t generation_ = 0;
+  std::uint64_t last_blob_id_ = 0;  ///< last replication id handed out
   /// The generation before the current one, retained in full (its shadows
   /// are dropped only when the NEXT capture commits) so a double kill that
   /// voids a current-generation entry can fall back one period instead of

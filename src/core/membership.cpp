@@ -12,6 +12,29 @@ namespace ompc::core {
 
 // --- ReplicaStore --------------------------------------------------------
 
+Bytes ReplicaStore::encode(Update kind, std::span<const std::byte> metadata,
+                           std::span<const Bytes> prev_waves,
+                           std::span<const Bytes> waves,
+                           const SnapshotBlobs& blobs,
+                           std::span<const std::uint64_t> blob_ids) {
+  ArchiveWriter w;
+  w.put_blob(metadata);
+  if (kind == Update::Full) {
+    w.put(static_cast<std::uint64_t>(prev_waves.size()));
+    for (const Bytes& b : prev_waves) w.put_blob(b);
+  }
+  w.put(static_cast<std::uint64_t>(waves.size()));
+  for (const Bytes& b : waves) w.put_blob(b);
+  w.put(static_cast<std::uint64_t>(blobs.size()));
+  for (const auto& [id, bytes] : blobs) {
+    w.put(id);
+    w.put_blob(*bytes);
+  }
+  w.put(static_cast<std::uint64_t>(blob_ids.size()));
+  w.put_raw(blob_ids.data(), blob_ids.size_bytes());
+  return w.take();
+}
+
 void ReplicaStore::apply(Update kind, std::uint64_t generation,
                          const Bytes& payload) {
   ArchiveReader r(std::span<const std::byte>(payload.data(), payload.size()));
@@ -26,8 +49,33 @@ void ReplicaStore::apply(Update kind, std::uint64_t generation,
   std::vector<Bytes> waves;
   waves.reserve(nw);
   for (std::uint64_t i = 0; i < nw; ++i) waves.push_back(r.get_blob());
+  SnapshotBlobs carried;
+  const auto nb = r.get<std::uint64_t>();
+  for (std::uint64_t i = 0; i < nb; ++i) {
+    const auto id = r.get<std::uint64_t>();
+    carried.emplace(id, std::make_shared<const Bytes>(r.get_blob()));
+  }
+  const auto ids = r.get_vector<std::uint64_t>();
 
   std::lock_guard<std::mutex> lock(mutex_);
+  // Resolve the listed ids before touching any state, so a rejected update
+  // leaves the replica whole at its previous generation.
+  SnapshotBlobs kept;
+  for (const std::uint64_t id : ids) {
+    if (const auto it = carried.find(id); it != carried.end()) {
+      kept.emplace(id, std::move(it->second));
+    } else if (const auto held = state_.blobs.find(id);
+               kind != Update::Full && held != state_.blobs.end()) {
+      kept.emplace(id, held->second);
+    } else {
+      OMPC_CHECK_MSG(false, "HeadState update (generation "
+                                << generation << ") lists snapshot blob id "
+                                << id
+                                << " that it neither carries nor finds in "
+                                   "the replica");
+    }
+  }
+  state_.blobs = std::move(kept);
   switch (kind) {
     case Update::Append:
       break;

@@ -7,7 +7,9 @@
 //  - ReplicaStore: a worker-side mailbox for the head's replicated
 //    recording state (wave-log deltas + ownership/checkpoint metadata),
 //    filled by HeadState events at wave boundaries. Blobs are stored
-//    verbatim — deserialization cost is paid only on promotion.
+//    verbatim — deserialization cost is paid only on promotion. Checkpoint
+//    snapshot bytes arrive once each, keyed by replication id, and the
+//    store keeps exactly the ids the latest update lists.
 //  - MembershipAgent: one per worker rank. Owns the heartbeat ring,
 //    routes failure reports to the *current* head (re-sending them after a
 //    handoff so reports aimed at a corpse are not lost), detects head
@@ -31,9 +33,11 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/heartbeat.hpp"
 #include "minimpi/mpi.hpp"
 
@@ -65,10 +69,24 @@ class ReplicaStore {
     Bytes metadata;                ///< serialized DM/checkpoint/stats state
     std::vector<Bytes> prev_waves; ///< serialized graphs, previous period
     std::vector<Bytes> waves;      ///< serialized graphs since last capture
+    SnapshotBlobs blobs;           ///< checkpoint bytes the metadata names
   };
 
-  /// Ingests one HeadState payload (see Runtime::replicate_head_state for
-  /// the wire layout). Thread-safe.
+  /// Builds one HeadState payload. `prev_waves` travels on Full updates
+  /// only. `blobs` carries the snapshot blobs the shadow does not hold yet;
+  /// `blob_ids` lists every id the new metadata references. Layout:
+  ///   blob metadata | [Full: u64 n, n × blob] | u64 n, n × blob |
+  ///   u64 n, n × {u64 id, blob} | u64 n, n × u64 id
+  static Bytes encode(Update kind, std::span<const std::byte> metadata,
+                      std::span<const Bytes> prev_waves,
+                      std::span<const Bytes> waves, const SnapshotBlobs& blobs,
+                      std::span<const std::uint64_t> blob_ids);
+
+  /// Ingests one encode() payload. Afterwards the store holds exactly the
+  /// blobs the update lists: carried ones, plus (except on Full, which
+  /// re-sends everything) ones it already held. A listed id found in
+  /// neither place throws CheckError naming it, and leaves the store as it
+  /// was. Thread-safe.
   void apply(Update kind, std::uint64_t generation, const Bytes& payload);
 
   Snapshot snapshot() const;

@@ -47,8 +47,9 @@ enum class EventKind : std::uint8_t {
   // Head failover / elastic membership (§5 extension).
 
   /// Head -> shadow rank: an incremental update of the head's recording
-  /// state (wave log delta + ownership/checkpoint metadata). The payload
-  /// blob is stored verbatim in the shadow's ReplicaStore; it is only
+  /// state (wave log delta + ownership/checkpoint metadata + the checkpoint
+  /// snapshot blobs the shadow lacks). The metadata and wave blobs are
+  /// stored verbatim in the shadow's ReplicaStore; they are only
   /// deserialized if that rank is later promoted.
   HeadState,
 

@@ -325,10 +325,12 @@ class Runtime {
   // --- head failover internals ------------------------------------------
 
   /// Ships the head recording state to the shadow rank (the first live
-  /// worker): a Full resync when the shadow changed or `boundary` committed
-  /// a checkpoint (the wave log was cut), an Append of the new wave blobs
-  /// otherwise. Best-effort: a dying shadow is skipped this round and
-  /// resynced to its successor at the next boundary.
+  /// worker): a Full resync when the shadow changed, a Reset when
+  /// `boundary_reset` committed a checkpoint (the wave log was cut), an
+  /// Append of the new wave blobs otherwise. Checkpoint snapshot bytes the
+  /// shadow already holds travel as ids only. Best-effort: a dying shadow
+  /// is skipped this round and resynced to its successor at the next
+  /// boundary.
   void replicate_head_state(bool boundary_reset);
 
   /// The head rank died: await the ring election on the membership bus,
@@ -397,6 +399,9 @@ class Runtime {
   mpi::Rank shadow_rank_ = -1;     ///< current replication target
   std::uint64_t replica_generation_ = 0;
   std::size_t replicated_waves_ = 0;  ///< wave_blobs_ prefix already shipped
+  /// Snapshot blob ids the shadow holds (sorted), as of the last update it
+  /// acknowledged; only a Full resync ignores them.
+  std::vector<std::uint64_t> shadow_blob_ids_;
   /// Serialized mirrors of wave_log_ (same indices): what replication ships
   /// and what failover replays for waves the replica missed. prev_* mirror
   /// the generation retained by the checkpoint store for degraded restores.

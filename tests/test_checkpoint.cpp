@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -75,6 +76,52 @@ TEST(Checkpoint, DisabledPeriodTakesNoSnapshots) {
   for (const auto v : vals) EXPECT_EQ(v, 3u);
   EXPECT_EQ(stats.checkpoints, 0);
   EXPECT_EQ(stats.checkpoint_bytes, 0);
+}
+
+TEST(Checkpoint, AdoptStateResolvesBlobIdsAndNamesAMissingOne) {
+  // serialize_state() names head-resident snapshot bytes by replication id;
+  // adopt_state() takes them from the blobs a replica holds. One missing
+  // is a RecoveryError naming it, never a store with a hole in it.
+  ClusterOptions opts;
+  opts.num_workers = 2;
+  opts.checkpoint_period = 1;  // Head locality: every entry has head bytes
+  std::vector<std::uint64_t> cells(3, 0);
+  launch(opts, [&](Runtime& rt) {
+    for (auto& c : cells) rt.enter_data(&c, sizeof c);
+    for (int w = 0; w < 2; ++w) {
+      for (auto& c : cells) {
+        Args args;
+        args.buf(&c).scalar<std::int64_t>(0);
+        rt.target({omp::inout(&c)}, kIncrement, std::move(args), 0.0);
+      }
+      rt.wait_all();
+    }
+    const CheckpointStore& store = rt.checkpoints();
+    const Bytes state = store.serialize_state();
+    SnapshotBlobs blobs = store.blobs();
+    ASSERT_FALSE(blobs.empty());
+
+    CheckpointStore adopted;
+    adopted.adopt_state(state, blobs);
+    EXPECT_EQ(adopted.wave(), store.wave());
+    EXPECT_EQ(adopted.blobs(), blobs);
+
+    const std::uint64_t missing = blobs.rbegin()->first;
+    blobs.erase(missing);
+    CheckpointStore broken;
+    try {
+      broken.adopt_state(state, blobs);
+      ADD_FAILURE() << "adopted a state whose blob " << missing
+                    << " was missing";
+    } catch (const RecoveryError& e) {
+      EXPECT_NE(std::string(e.what()).find("blob id " +
+                                           std::to_string(missing)),
+                std::string::npos)
+          << e.what();
+    }
+    for (auto& c : cells) rt.exit_data(&c);
+  });
+  for (const auto v : cells) EXPECT_EQ(v, 2u);
 }
 
 TEST(Checkpoint, FailureAfterResultsDeliveredReplaysInsteadOfRegressing) {

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "core/membership.hpp"
 #include "core/runtime.hpp"
 #include "minimpi/mpi.hpp"
 #include "offload/kernel_registry.hpp"
@@ -24,6 +26,8 @@ namespace {
 using core::CheckpointLocality;
 using core::ClusterOptions;
 using core::RecoveryError;
+using core::ReplicaStore;
+using core::SnapshotBlobs;
 using taskbench::expected_checksum;
 using taskbench::KernelMode;
 using taskbench::Pattern;
@@ -59,6 +63,14 @@ ClusterOptions failover_opts(int workers) {
   o.heartbeat_timeout_ms = 60;
   o.checkpoint_period = 1;
   o.checkpoint_locality = CheckpointLocality::Buddy;
+  return o;
+}
+
+/// Head locality (the default): every snapshot's bytes live on the head, so
+/// replication carries them to the shadow.
+ClusterOptions head_locality_opts(int workers) {
+  ClusterOptions o = failover_opts(workers);
+  o.checkpoint_locality = CheckpointLocality::Head;
   return o;
 }
 
@@ -183,6 +195,170 @@ TEST(HeadFailover, CountersSurviveTheHandoff) {
   // Checkpoint counters ride in the replicated store metadata: the killed
   // run re-captures during replay, so it can only see MORE boundaries.
   EXPECT_GE(killed.stats.checkpoints, clean.stats.checkpoints);
+}
+
+// --- Head locality: snapshot blobs replicate once each --------------------
+
+TEST(HeadLocalityFailover, HeadKilledAfterDeltaUpdatesChecksumMatches) {
+  // Waves take ~40 ms here (60 ms at most on a loaded box) and the shadow
+  // gets one update before each, so by 230 ms it has applied a Full update
+  // and at least three delta updates. The adopted checkpoint then
+  // references blobs from several of them: clean entries keep the ids of
+  // earlier captures, and any id the replica pruned too eagerly fails
+  // adoption.
+  TaskBenchSpec spec = failover_spec(Pattern::Stencil1D);
+  spec.steps = 8;
+  ClusterOptions opts = head_locality_opts(3);
+  opts.kills.push_back({0, at_ms(230)});
+
+  const auto r = taskbench::run_ompc_stepwise(spec, opts);
+  EXPECT_EQ(r.checksum, expected_checksum(spec));
+  EXPECT_GE(r.stats.failovers, 1);
+  EXPECT_GE(r.stats.replication_updates, 4);
+}
+
+TEST(HeadLocalityFailover, ShadowKilledThenHeadKilledAfterFullResync) {
+  // The shadow (rank 1, the first live worker) dies mid-wave 0. After the
+  // rollback the next boundary resyncs rank 2 with a Full update, which
+  // must carry every blob the checkpoint references: the shadow's delta
+  // bookkeeping is void. Then the head dies, and rank 2 adopts from what
+  // that resync and the updates after it delivered.
+  TaskBenchSpec spec = failover_spec(Pattern::Stencil1D);
+  spec.steps = 8;
+  ClusterOptions opts = head_locality_opts(3);
+  opts.kills.push_back({1, at_ms(30)});
+  opts.kills.push_back({0, at_ms(300)});
+
+  const auto r = taskbench::run_ompc_stepwise(spec, opts);
+  EXPECT_EQ(r.checksum, expected_checksum(spec));
+  EXPECT_GE(r.stats.failovers, 1);
+  EXPECT_GE(r.stats.workers_lost, 1);
+}
+
+TEST(HeadLocalityReplication, SteadyUpdateShipsOnlyTheWavesDirtyBytes) {
+  // One update per wave. Its steady-state size is the difference between
+  // two run lengths (the first, Full update and the teardown cancel out).
+  // It must not exceed the bytes the wave's checkpoint newly captured plus
+  // the metadata: stats block, rosters, ownership registry, per-entry
+  // checkpoint records and the wave's graph — about 4.3 KB on this shape.
+  // Re-sending both generations' snapshot bytes at every boundary (the
+  // ~128 KiB of this shape) cannot fit.
+  constexpr std::int64_t kMetadataAllowance = 8 * 1024;
+  TaskBenchSpec spec = failover_spec(Pattern::Stencil1D);
+  spec.iterations = 0;
+  spec.output_bytes = 4096;  // 8 × 4 KiB written per wave
+  const ClusterOptions opts = head_locality_opts(3);
+
+  spec.steps = 4;
+  const auto short_run = taskbench::run_ompc_stepwise(spec, opts);
+  spec.steps = 12;
+  const auto long_run = taskbench::run_ompc_stepwise(spec, opts);
+  ASSERT_EQ(long_run.checksum, expected_checksum(spec));
+
+  const std::int64_t updates = long_run.stats.replication_updates -
+                               short_run.stats.replication_updates;
+  const std::int64_t captures =
+      long_run.stats.checkpoints - short_run.stats.checkpoints;
+  ASSERT_EQ(updates, 8);
+  ASSERT_EQ(captures, 8);
+  const std::int64_t bytes_per_update =
+      (long_run.stats.replication_bytes - short_run.stats.replication_bytes) /
+      updates;
+  const std::int64_t dirty_per_wave = (long_run.stats.checkpoint_dirty_bytes -
+                                       short_run.stats.checkpoint_dirty_bytes) /
+                                      captures;
+  EXPECT_EQ(dirty_per_wave, 8 * 4096);
+  EXPECT_LE(bytes_per_update, dirty_per_wave + kMetadataAllowance)
+      << "replication re-sends snapshot bytes the shadow already holds";
+}
+
+// --- ReplicaStore: blobs by replication id --------------------------------
+
+std::shared_ptr<const Bytes> blob_of(std::uint8_t fill) {
+  return std::make_shared<const Bytes>(16, std::byte{fill});
+}
+
+/// One update with a one-wave delta, carrying `carried` and listing `ids`.
+Bytes replica_update(ReplicaStore::Update kind, const SnapshotBlobs& carried,
+                     const std::vector<std::uint64_t>& ids) {
+  const Bytes metadata(8, std::byte{0x11});
+  const std::vector<Bytes> waves(1, Bytes(4, std::byte{0x22}));
+  return ReplicaStore::encode(kind, metadata, {}, waves, carried, ids);
+}
+
+std::vector<std::uint64_t> held_ids(const ReplicaStore& store) {
+  std::vector<std::uint64_t> ids;
+  for (const auto& [id, bytes] : store.snapshot().blobs) ids.push_back(id);
+  return ids;
+}
+
+using Ids = std::vector<std::uint64_t>;
+
+TEST(ReplicaStoreBlobs, HoldsExactlyTheListedIdsAfterEveryUpdate) {
+  ReplicaStore store;
+  store.apply(ReplicaStore::Update::Full, 1,
+              replica_update(ReplicaStore::Update::Full,
+                             {{1, blob_of(1)}, {2, blob_of(2)}, {3, blob_of(3)}},
+                             {1, 2, 3}));
+  EXPECT_EQ(held_ids(store), (Ids{1, 2, 3}));
+
+  // A boundary: blob 4 is new, 1 dropped out of both generations, 2 and 3
+  // are referenced again and travel as ids only.
+  store.apply(ReplicaStore::Update::Reset, 2,
+              replica_update(ReplicaStore::Update::Reset, {{4, blob_of(4)}},
+                             {2, 3, 4}));
+  EXPECT_EQ(held_ids(store), (Ids{2, 3, 4}));
+  EXPECT_EQ(*store.snapshot().blobs.at(2), *blob_of(2));
+
+  store.apply(ReplicaStore::Update::Append, 3,
+              replica_update(ReplicaStore::Update::Append, {{5, blob_of(5)}},
+                             {4, 5}));
+  const ReplicaStore::Snapshot snap = store.snapshot();
+  EXPECT_EQ(held_ids(store), (Ids{4, 5}));
+  EXPECT_EQ(*snap.blobs.at(4), *blob_of(4));
+  EXPECT_EQ(*snap.blobs.at(5), *blob_of(5));
+  EXPECT_EQ(snap.generation, 3u);
+  EXPECT_EQ(snap.prev_waves.size(), 1u);  // the Full update's wave
+  EXPECT_EQ(snap.waves.size(), 2u);       // Reset's, then Append's
+}
+
+TEST(ReplicaStoreBlobs, FullUpdateDropsEveryBlobItDoesNotResend) {
+  ReplicaStore store;
+  store.apply(ReplicaStore::Update::Full, 1,
+              replica_update(ReplicaStore::Update::Full,
+                             {{1, blob_of(1)}, {2, blob_of(2)}}, {1, 2}));
+  store.apply(ReplicaStore::Update::Full, 2,
+              replica_update(ReplicaStore::Update::Full, {{2, blob_of(7)}},
+                             {2}));
+  EXPECT_EQ(held_ids(store), (Ids{2}));
+  EXPECT_EQ(*store.snapshot().blobs.at(2), *blob_of(7));
+
+  // A Full update must carry what it lists: what the store already holds
+  // does not count.
+  EXPECT_THROW(store.apply(ReplicaStore::Update::Full, 3,
+                           replica_update(ReplicaStore::Update::Full, {}, {2})),
+               CheckError);
+  EXPECT_EQ(store.generation(), 2u);
+}
+
+TEST(ReplicaStoreBlobs, ListedIdNeitherCarriedNorHeldFailsNamingIt) {
+  ReplicaStore store;
+  store.apply(ReplicaStore::Update::Full, 1,
+              replica_update(ReplicaStore::Update::Full, {{1, blob_of(1)}},
+                             {1}));
+  try {
+    store.apply(ReplicaStore::Update::Append, 2,
+                replica_update(ReplicaStore::Update::Append, {{2, blob_of(2)}},
+                               {1, 2, 99}));
+    FAIL() << "an update listing an unknown blob id was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("blob id 99"), std::string::npos)
+        << e.what();
+  }
+  // The rejected update left the replica as it was.
+  EXPECT_EQ(store.generation(), 1u);
+  EXPECT_EQ(held_ids(store), (Ids{1}));
+  EXPECT_EQ(store.snapshot().waves.size(), 1u);
 }
 
 // --- elastic membership: join/leave at wave boundaries --------------------

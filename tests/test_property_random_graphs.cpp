@@ -5,7 +5,8 @@
 //
 // The second half is the randomized tenancy soak: N random DAG streams
 // driven from N threads through the multi-tenant serve loop, with a
-// randomized kill schedule (none / a worker / the head) layered on top.
+// randomized kill schedule (none / a worker / the head) and checkpoint
+// locality (Head / Buddy) layered on top.
 // The invariant is absolute: the run either completes with every tenant's
 // checksum bitwise equal to its solo oracle, or fails with a clean
 // RecoveryError — never wrong data, never a hang. Failures print the RNG
@@ -88,9 +89,6 @@ class TenancySoak : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TenancySoak, RandomStreamsRandomKillsNeverYieldWrongData) {
   const std::uint64_t seed = soak_seed(GetParam());
-  SCOPED_TRACE("tenancy soak seed=" + std::to_string(seed) +
-               " — rerun just this case with OMPC_TEST_SEED=" +
-               std::to_string(seed));
   XorShift64 rng(seed);
 
   const int tenants = 2 + static_cast<int>(rng.next_below(3));  // 2..4
@@ -116,7 +114,6 @@ TEST_P(TenancySoak, RandomStreamsRandomKillsNeverYieldWrongData) {
   opts.heartbeat_period_ms = 5;
   opts.heartbeat_timeout_ms = 60;
   opts.checkpoint_period = 1;
-  opts.checkpoint_locality = core::CheckpointLocality::Buddy;
   opts.max_pending_waves = 4;
 
   // Kill schedule: nothing, one worker, or the head — at a random instant
@@ -131,6 +128,15 @@ TEST_P(TenancySoak, RandomStreamsRandomKillsNeverYieldWrongData) {
   } else if (fate == 2) {
     opts.kills.push_back({0, kill_ns});  // the head
   }
+  // Head locality replicates every snapshot's bytes to the shadow; Buddy
+  // keeps them on the workers. Drawn last, so earlier draws per seed hold.
+  const bool buddy = rng.next_below(2) == 0;
+  opts.checkpoint_locality =
+      buddy ? core::CheckpointLocality::Buddy : core::CheckpointLocality::Head;
+  SCOPED_TRACE("tenancy soak seed=" + std::to_string(seed) + " locality=" +
+               (buddy ? "Buddy" : "Head") + " fate=" + std::to_string(fate) +
+               " — rerun just this case with OMPC_TEST_SEED=" +
+               std::to_string(seed));
 
   try {
     run_multi_tenant(opts, streams);
