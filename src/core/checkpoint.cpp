@@ -57,8 +57,9 @@ std::size_t CheckpointStore::worker_resident_entries() const {
 
 std::vector<offload::TargetPtr> CheckpointStore::shadows_on(
     mpi::Rank rank) const {
-  // Both generations AND the parked orphans: anything the store might still
-  // SnapshotDrop later must survive a heap trim, or the drop double-frees.
+  // Both generations AND the parked orphans and retired shadows: anything
+  // the store might still SnapshotDrop later must survive a heap trim, or
+  // the drop double-frees.
   std::vector<offload::TargetPtr> ptrs;
   const auto collect = [&ptrs, rank](const std::vector<Entry>& entries) {
     for (const Entry& e : entries) {
@@ -68,10 +69,18 @@ std::vector<offload::TargetPtr> CheckpointStore::shadows_on(
   };
   collect(entries_);
   collect(prev_entries_);
-  for (const Shadow& s : orphaned_) {
-    if (s.rank == rank && s.ptr != 0) ptrs.push_back(s.ptr);
+  for (const auto* list : {&orphaned_, &retired_}) {
+    for (const Shadow& s : *list)
+      if (s.rank == rank && s.ptr != 0) ptrs.push_back(s.ptr);
   }
   return ptrs;
+}
+
+void CheckpointStore::release_retired(std::size_t n) {
+  n = std::min(n, retired_.size());
+  const std::vector<Shadow> released(retired_.begin(), retired_.begin() + n);
+  retired_.erase(retired_.begin(), retired_.begin() + n);
+  drop_shadows(released);
 }
 
 void CheckpointStore::drop_shadows(const std::vector<Shadow>& shadows) {
@@ -296,10 +305,12 @@ void CheckpointStore::capture(DataManager& dm, std::int64_t wave,
 
   // Commit: the committed generation is demoted to the retained previous
   // one, and only the cut dropping out (two boundaries ago) has its shadows
-  // freed — minus anything either newer generation still references (a
+  // retired — minus anything either newer generation still references (a
   // clean entry is shared by reference across generations, and orphans are
   // included too). Retaining one full prior generation lets restore() fall
-  // back a period when a double kill voids a current-generation entry.
+  // back a period when a double kill voids a current-generation entry; the
+  // retired cut is freed by release_retired(), once no adoptable replica
+  // names it.
   std::set<std::pair<mpi::Rank, offload::TargetPtr>> kept;
   const auto keep = [&kept](const Entry& e) {
     if (e.owner.rank >= 0) kept.emplace(e.owner.rank, e.owner.ptr);
@@ -322,7 +333,7 @@ void CheckpointStore::capture(DataManager& dm, std::int64_t wave,
   wave_ = wave;
   have_ = true;
   ++generation_;
-  drop_shadows(stale);
+  retired_.insert(retired_.end(), stale.begin(), stale.end());
   dm.mark_all_clean();  // commit point: everything captured or reused
   ++stats_.captures;
   stats_.bytes_captured += logical;
@@ -466,9 +477,10 @@ void CheckpointStore::restore(DataManager& dm) {
     orphaned_.insert(orphaned_.end(), drops.begin(), drops.end());
     throw;
   }
-  // Every entry is head-resident now, so the retained prior generation can
-  // never be needed again — free its shadows along with the converted
-  // entries' and any parked orphans. Dedupe first: a clean entry shares its
+  // Every entry is head-resident now, so this store never needs the
+  // retained prior generation again — retire its shadows along with the
+  // converted entries' and any parked orphans (a replica serialized before
+  // this restore still names them). Dedupe first: a clean entry shares its
   // shadows across generations, and a double drop would double-free.
   for (const Entry& e : prev_entries_) {
     if (e.owner.rank >= 0) drops.push_back(e.owner);
@@ -480,12 +492,9 @@ void CheckpointStore::restore(DataManager& dm) {
   drops.insert(drops.end(), orphaned_.begin(), orphaned_.end());
   orphaned_.clear();
   std::set<std::pair<mpi::Rank, offload::TargetPtr>> seen;
-  std::vector<Shadow> unique;
-  unique.reserve(drops.size());
   for (const Shadow& s : drops) {
-    if (seen.emplace(s.rank, s.ptr).second) unique.push_back(s);
+    if (seen.emplace(s.rank, s.ptr).second) retired_.push_back(s);
   }
-  drop_shadows(unique);
   // Every checkpointed buffer now holds exactly its captured bytes, so
   // nothing is dirty relative to this snapshot; the replay re-marks what it
   // rewrites.
@@ -586,6 +595,7 @@ void CheckpointStore::adopt_state(std::span<const std::byte> data,
   }
   r.get_raw(&stats_, sizeof stats_);
   last_restore_degraded_ = false;
+  retired_.clear();  // the dead head's; the adopting heap trim frees them
 }
 
 }  // namespace ompc::core

@@ -26,7 +26,10 @@
 // the previous generation stays intact, so a worker dying mid-capture
 // leaves the old snapshot (and the dirty set) untouched; only after every
 // save/replica settles are the entries swapped and the stale shadows
-// dropped. restore() resolves each buffer from the freshest surviving
+// retired. Retired shadows stay allocated until the caller releases them:
+// a replica of the head state taken before the commit still names them,
+// and a head promoted from it may have to restore from them. restore()
+// resolves each buffer from the freshest surviving
 // holder (owner, else buddy, else the head entry — else RecoveryError),
 // streams it to the head where replay re-distributes it, and converts the
 // entry to head-resident bytes so a later failure cannot chase shadows on
@@ -115,6 +118,17 @@ class CheckpointStore {
     return last_restore_degraded_;
   }
 
+  /// Shadows no retained generation references any more (dropped out at a
+  /// commit, or converted by a restore), still allocated, oldest first.
+  /// A replica serialized before they were retired may still name them.
+  std::size_t num_retired() const noexcept { return retired_.size(); }
+
+  /// SnapshotDrops the `n` oldest retired shadows (best-effort, like every
+  /// drop). Call it once no replica that names them can be adopted: after
+  /// the shadow acknowledged a later update, or at the next commit when
+  /// nothing is replicated.
+  void release_retired(std::size_t n);
+
   /// Head-replication support: flattens the store state (both
   /// generations' entries, parked orphans and counters) so a promoted head
   /// can adopt it. Head-resident bytes are written as replication ids, not
@@ -137,9 +151,9 @@ class CheckpointStore {
 
   const CheckpointStats& stats() const noexcept { return stats_; }
 
-  /// Snapshot shadows (both generations + parked orphans) living on `rank`
-  /// — the blocks a heap trim of that rank must keep so later
-  /// SnapshotDrop/SnapshotFetch events still resolve.
+  /// Snapshot shadows (both generations, parked orphans and retired ones)
+  /// living on `rank` — the blocks a heap trim of that rank must keep so
+  /// later SnapshotDrop/SnapshotFetch events still resolve.
   std::vector<offload::TargetPtr> shadows_on(mpi::Rank rank) const;
 
   /// Current committed snapshot generation (test hook).
@@ -215,6 +229,9 @@ class CheckpointStore {
   /// Shadows whose drop had to be deferred (aborted capture, interrupted
   /// restore): freed at the next quiescent opportunity.
   std::vector<Shadow> orphaned_;
+  /// See num_retired(). Head-local: not serialized, so a promoted head
+  /// never learns of them and its heap trim frees them.
+  std::vector<Shadow> retired_;
   CheckpointStats stats_;
 };
 

@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "core/fault.hpp"
 
 namespace ompc::core {
 
@@ -43,6 +44,12 @@ DataManager::BufferState* DataManager::find(const void* host) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   auto it = buffers_.find(host);
   return it == buffers_.end() ? nullptr : it->second.get();
+}
+
+mpi::Rank DataManager::valid_worker_locked(const BufferState& b) {
+  for (const auto& [r, st] : b.state)
+    if (st == CopyState::Valid) return r;
+  return -1;
 }
 
 bool DataManager::is_registered(const void* host) const {
@@ -137,12 +144,7 @@ offload::TargetPtr DataManager::ensure_on(mpi::Rank worker, BufferState& b) {
       }
       break;  // Absent: this thread owns the transfer
     }
-    for (const auto& [r, st] : b.state) {
-      if (st == CopyState::Valid) {
-        src = r;
-        break;
-      }
-    }
+    src = valid_worker_locked(b);
     OMPC_CHECK_MSG(src >= 0 || b.on_head,
                    "buffer has no valid location anywhere");
     b.state[worker] = CopyState::Transferring;
@@ -230,7 +232,13 @@ void DataManager::exit_to_head(void* host, bool copy) {
   OMPC_CHECK_MSG(b != nullptr, "exit data for unregistered buffer " << host);
   {
     std::unique_lock<std::mutex> lk(b->lock);
-    if (copy) fetch_to_head_locked(*b, lk);
+    if (copy) {
+      fetch_to_head_locked(*b, lk);
+    } else {
+      // The payload must not land in the host buffer after the mapping is
+      // gone.
+      drop_head_fetch_locked(*b, lk);
+    }
     // Remove from the entire cluster (§4.3 exit rule).
     while (!b->addr.empty())
       delete_on_locked(b->addr.begin()->first, *b, lk);
@@ -272,6 +280,7 @@ void DataManager::after_write(mpi::Rank worker, const omp::DepList& deps) {
     BufferState* b = find(d.addr);
     if (b == nullptr) continue;  // dependence on non-buffer storage
     std::unique_lock<std::mutex> lk(b->lock);
+    check_no_head_fetch_locked(*b);
     // Dependence edges order writers after every reader (WAR), so no
     // replica of this buffer can be mid-transfer here.
     for (const auto& [r, st] : b->state) {
@@ -307,8 +316,36 @@ void DataManager::after_write(mpi::Rank worker, const omp::DepList& deps) {
 void DataManager::after_host_write(const omp::DepList& deps) {
   for (const omp::Dep& d : deps) {
     if (!omp::is_write(d.type)) continue;
-    if (is_registered(d.addr)) mark_dirty(d.addr);
+    BufferState* b = find(d.addr);
+    if (b == nullptr) continue;
+    {
+      std::lock_guard<std::mutex> lock(b->lock);
+      check_no_head_fetch_locked(*b);
+    }
+    mark_dirty(d.addr);
   }
+}
+
+void DataManager::check_no_head_fetch_locked(const BufferState& b) {
+  OMPC_CHECK_MSG(!b.head_fetching,
+                 "write to buffer " << b.host << " (" << b.size
+                                    << " B) while a retrieve into its head "
+                                       "copy is in flight");
+}
+
+void DataManager::prefetch_to_head(const void* host) {
+  BufferState* b = find(host);
+  if (b == nullptr) return;
+  std::lock_guard<std::mutex> lock(b->lock);
+  if (b->on_head || b->head_fetching) return;
+  const mpi::Rank src = valid_worker_locked(*b);
+  if (src < 0) return;
+  // Started under the buffer lock: start_retrieve only posts the landing
+  // receive and the announce, it never waits.
+  b->head_fetch = events_->start_retrieve(src, b->addr.at(src), b->host,
+                                          b->size);
+  b->head_fetching = true;
+  stats_.head_prefetches.fetch_add(1, std::memory_order_relaxed);
 }
 
 void DataManager::cleanup_all() {
@@ -322,6 +359,7 @@ void DataManager::cleanup_all() {
   }
   for (BufferState* b : all) {
     std::unique_lock<std::mutex> lk(b->lock);
+    drop_head_fetch_locked(*b, lk);
     while (!b->addr.empty())
       delete_on_locked(b->addr.begin()->first, *b, lk);
   }
@@ -331,24 +369,30 @@ void DataManager::cleanup_all() {
 
 void DataManager::fetch_to_head_locked(BufferState& b,
                                        std::unique_lock<std::mutex>& lk) {
+  // This thread owns the retrieve once it breaks out: either a prefetch it
+  // takes over or, below, one it starts itself.
+  OriginEventPtr fetch;
   for (;;) {
     if (b.on_head) return;
-    if (!b.head_fetching) break;  // this thread owns the retrieve
-    b.cv.wait(lk);
-  }
-  mpi::Rank src = -1;
-  for (const auto& [r, st] : b.state) {
-    if (st == CopyState::Valid) {
-      src = r;
+    if (b.head_fetch != nullptr) {
+      fetch = std::move(b.head_fetch);
       break;
     }
+    if (!b.head_fetching) break;
+    b.cv.wait(lk);
   }
-  OMPC_CHECK_MSG(src >= 0, "no valid copy of buffer to retrieve");
-  const offload::TargetPtr src_ptr = b.addr.at(src);
-  b.head_fetching = true;
+  const mpi::Rank src = fetch == nullptr ? valid_worker_locked(b) : -1;
+  offload::TargetPtr src_ptr = 0;
+  if (fetch == nullptr) {
+    OMPC_CHECK_MSG(src >= 0, "no valid copy of buffer to retrieve");
+    src_ptr = b.addr.at(src);
+    b.head_fetching = true;
+  }
   lk.unlock();
   try {
-    events_->start_retrieve(src, src_ptr, b.host, b.size)->wait();
+    if (fetch == nullptr)
+      fetch = events_->start_retrieve(src, src_ptr, b.host, b.size);
+    fetch->wait();
   } catch (...) {
     lk.lock();
     b.head_fetching = false;
@@ -363,6 +407,21 @@ void DataManager::fetch_to_head_locked(BufferState& b,
   lk.lock();
   b.head_fetching = false;
   b.on_head = true;
+  b.cv.notify_all();
+}
+
+void DataManager::drop_head_fetch_locked(BufferState& b,
+                                         std::unique_lock<std::mutex>& lk) {
+  if (b.head_fetch == nullptr) return;
+  const OriginEventPtr fetch = std::move(b.head_fetch);
+  lk.unlock();
+  try {
+    fetch->wait();
+  } catch (const WorkerDiedError&) {
+    // The source died: nothing of the retrieve lands any more.
+  }
+  lk.lock();
+  b.head_fetching = false;
   b.cv.notify_all();
 }
 
@@ -410,13 +469,8 @@ DataManager::Residency DataManager::residency(const void* host) const {
   if (b == nullptr) return r;
   std::lock_guard<std::mutex> lock(b->lock);
   r.on_head = b->on_head;
-  for (const auto& [rank, st] : b->state) {
-    if (st == CopyState::Valid) {
-      r.owner = rank;
-      r.owner_addr = b->addr.at(rank);
-      break;
-    }
-  }
+  r.owner = valid_worker_locked(*b);
+  if (r.owner >= 0) r.owner_addr = b->addr.at(r.owner);
   return r;
 }
 
@@ -463,6 +517,10 @@ void DataManager::reset_all_to_host() {
   }
   for (BufferState* b : all) {
     std::unique_lock<std::mutex> lk(b->lock);
+    // After quiesce() a pending retrieve's completion is in, but its
+    // payload may still be on the wire toward `host`: wait it out, so the
+    // restore that follows is not overwritten.
+    drop_head_fetch_locked(*b, lk);
     while (!b->addr.empty())
       delete_on_locked(b->addr.begin()->first, *b, lk);
     b->state.clear();
@@ -546,8 +604,10 @@ std::size_t DataManager::migrate_buffers(mpi::Rank joiner,
     if (seen++ % take_every != 0) continue;
     ensure_on(joiner, *b);
     // The joiner becomes the buffer's only worker replica (its ownership
-    // slice); the old owner's copy is deleted like a write invalidation.
+    // slice); the old owner's copy is deleted like a write invalidation —
+    // after any prefetch still reading it has landed.
     std::unique_lock<std::mutex> lk(b->lock);
+    if (b->head_fetch != nullptr) fetch_to_head_locked(*b, lk);
     std::vector<mpi::Rank> stale;
     for (const auto& [r, ptr] : b->addr) {
       (void)ptr;
@@ -599,6 +659,7 @@ DataManager::Snapshot DataManager::snapshot(const void* host) const {
   if (b == nullptr) return s;
   std::lock_guard<std::mutex> lock(b->lock);
   s.valid_on_head = b->on_head;
+  s.head_fetch_pending = b->head_fetch != nullptr;
   for (const auto& [r, st] : b->state) {
     if (st == CopyState::Valid) s.valid_workers.insert(r);
   }

@@ -57,6 +57,8 @@ struct DataManagerStats {
   std::atomic<std::int64_t> persistent_reuses{0};  ///< device allocations
                                                    ///< re-used by an armed
                                                    ///< ChannelPlan
+  std::atomic<std::int64_t> head_prefetches{0};  ///< retrieves started by
+                                                 ///< prefetch_to_head
 };
 
 class DataManager {
@@ -89,17 +91,28 @@ class DataManager {
 
   /// Applies post-execution invalidation: each written dependence leaves
   /// `worker` as the only valid location (and marks the buffer dirty for
-  /// the next incremental checkpoint).
+  /// the next incremental checkpoint). Fails, naming the buffer, when a
+  /// retrieve into its host copy is still in flight.
   void after_write(mpi::Rank worker, const omp::DepList& deps);
 
   /// Host-task equivalent of after_write's dirty marking: a host task
   /// writes `host` memory directly (the head copy stays authoritative, no
   /// replica invalidation to do), but the incremental checkpointer must
-  /// still re-capture every written buffer.
+  /// still re-capture every written buffer. Fails like after_write when a
+  /// retrieve into a written buffer is in flight.
   void after_host_write(const omp::DepList& deps);
 
+  /// Starts retrieving the freshest worker copy of `host` to the head and
+  /// returns without waiting (no-op when the head copy is valid or a fetch
+  /// is already in flight). The next fetch_to_head_locked (a capture's
+  /// refresh, an exit, a ViaHead forward) takes the retrieve over instead
+  /// of issuing a second one. Call it only after the buffer's last write
+  /// before that fetch: a write while it is in flight fails fast.
+  void prefetch_to_head(const void* host);
+
   /// Deletes every remaining device allocation (pre-shutdown sweep for
-  /// buffers the program never exited).
+  /// buffers the program never exited), after waiting out any prefetch
+  /// still landing in a host buffer.
   void cleanup_all();
 
   // --- fault tolerance (paper §5; driven by the Runtime) ---------------
@@ -145,6 +158,8 @@ class DataManager {
   /// Rollback step 1: drops every worker replica (Delete events on live
   /// workers) and declares the host copy the only valid location, for every
   /// registered buffer. Requires a quiesced cluster (no tasks in flight).
+  /// Pending prefetches are dropped, each waited out first so no payload
+  /// lands in a host buffer after the restore rewrote it.
   void reset_all_to_host();
 
   /// Rollback step 2: (re-)registers `host` if a DataExit erased it during
@@ -211,6 +226,7 @@ class DataManager {
 
   struct Snapshot {
     bool valid_on_head = false;
+    bool head_fetch_pending = false;  ///< a prefetch nobody took over yet
     std::set<mpi::Rank> valid_workers;
     std::set<mpi::Rank> allocated_workers;
   };
@@ -233,6 +249,9 @@ class DataManager {
     std::size_t size = 0;
     bool on_head = true;  ///< host copy valid
     bool head_fetching = false;  ///< a retrieve into `host` is in flight
+    /// The in-flight retrieve while it is a prefetch nobody waits on yet;
+    /// whoever needs the head copy next takes it over.
+    OriginEventPtr head_fetch;
     std::map<mpi::Rank, offload::TargetPtr> addr;  ///< device allocations
     std::map<mpi::Rank, CopyState> state;
     std::mutex lock;  ///< guards addr/state/on_head (not the transfers)
@@ -260,11 +279,25 @@ class DataManager {
                         std::unique_lock<std::mutex>& lk);
 
   /// Makes the head's host copy valid, coalescing concurrent refreshes of
-  /// the same buffer onto one retrieve (waiters park on b.cv). Enters and
+  /// the same buffer onto one retrieve (waiters park on b.cv) and taking
+  /// over a pending prefetch instead of issuing a second one. Enters and
   /// leaves with `lk` held on b.lock; on return b.on_head is true. The
   /// coalescing also guarantees nobody rewrites `host` while a borrowed
   /// Submit payload of it is in flight.
   void fetch_to_head_locked(BufferState& b, std::unique_lock<std::mutex>& lk);
+
+  /// Drops a prefetch nobody took over: waits until its payload has landed
+  /// in `host` (or, its source dead, never will) without counting it or
+  /// validating the head copy. Needs `lk` held on b.lock.
+  void drop_head_fetch_locked(BufferState& b,
+                              std::unique_lock<std::mutex>& lk);
+
+  /// Throws CheckError naming `b` when a retrieve into its host copy is in
+  /// flight (a write now would race the landing payload). Needs b.lock.
+  static void check_no_head_fetch_locked(const BufferState& b);
+
+  /// First worker holding a Valid replica of `b` (-1: none). Needs b.lock.
+  static mpi::Rank valid_worker_locked(const BufferState& b);
 
   /// Marks `host` as written since the last checkpoint.
   void mark_dirty(const void* host);

@@ -64,6 +64,12 @@ void ClusterGraph::build_edges() {
     tasks_[static_cast<std::size_t>(pair.first)].succs.push_back(pair.second);
     tasks_[static_cast<std::size_t>(pair.second)].preds.push_back(pair.first);
   }
+  // Writers of one address are chained by the edges above, so the last one
+  // recorded is also the last one to run.
+  for (const auto& [addr, st] : state)
+    if (st.last_writer >= 0)
+      tasks_[static_cast<std::size_t>(st.last_writer)].last_writes.push_back(
+          addr);
 }
 
 std::uint64_t ClusterGraph::structural_hash() const {

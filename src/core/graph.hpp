@@ -62,6 +62,10 @@ struct ClusterTask {
   // Derived edges (indices into the graph's task vector).
   std::vector<int> preds;
   std::vector<int> succs;
+  /// Buffers this task writes last in its wave, whatever the later tasks'
+  /// types (derived with the edges): nothing else in the wave writes them
+  /// after this task completes.
+  std::vector<const void*> last_writes;
 };
 
 struct Edge {

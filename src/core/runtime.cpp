@@ -119,7 +119,7 @@ int Runtime::host_task(std::function<void()> fn, omp::DepList deps) {
   return id;
 }
 
-void Runtime::execute_task(const ClusterTask& t, int proc) {
+void Runtime::execute_task(const ClusterTask& t, int proc, bool prefetch) {
   const auto rank_of_proc = [this](int p) {
     return live_workers_[static_cast<std::size_t>(p)];
   };
@@ -157,12 +157,18 @@ void Runtime::execute_task(const ClusterTask& t, int proc) {
       h.scalars = t.scalars;
       events_->run(worker, EventKind::Execute, h.serialize());
       dm_.after_write(worker, t.deps);
+      // No later task of this wave writes these buffers, and the next
+      // boundary's capture will fetch them to the head: start the retrieves
+      // now so they overlap the rest of the wave.
+      if (prefetch)
+        for (const void* b : t.last_writes) dm_.prefetch_to_head(b);
       return;
     }
   }
 }
 
-void Runtime::dispatch(const ClusterGraph& graph, const ScheduleResult& sched) {
+void Runtime::dispatch(const ClusterGraph& graph, const ScheduleResult& sched,
+                       bool prefetch) {
   const std::size_t n = graph.size();
   if (n == 0) return;
 
@@ -194,7 +200,8 @@ void Runtime::dispatch(const ClusterGraph& graph, const ScheduleResult& sched) {
   // All captured state outlives the jobs: dispatch() returns only once
   // inflight == 0, i.e. every submitted job has run (or skipped).
   std::function<void(int)> submit_task = [&](int id) {
-    helpers_->submit([this, &graph, &sched, &ws, &submit_task, id] {
+    helpers_->submit([this, &graph, &sched, &ws, &submit_task, id,
+                      prefetch] {
       const ClusterTask& t = graph.task(id);
       bool skipped;
       {
@@ -204,7 +211,8 @@ void Runtime::dispatch(const ClusterGraph& graph, const ScheduleResult& sched) {
       std::exception_ptr error;
       if (!skipped) {
         try {
-          execute_task(t, sched.processor[static_cast<std::size_t>(id)]);
+          execute_task(t, sched.processor[static_cast<std::size_t>(id)],
+                       prefetch);
         } catch (...) {
           error = std::current_exception();
         }
@@ -264,7 +272,7 @@ std::uint64_t Runtime::schedule_cache_key(const ClusterGraph& graph) const {
   return h;
 }
 
-void Runtime::run_wave(const ClusterGraph& graph) {
+void Runtime::run_wave(const ClusterGraph& graph, bool prefetch) {
   // Fig. 7b workloads (awave/RTM, stepwise Task Bench) re-record an
   // identical DAG every time step; rescheduling it is pure head overhead.
   // Serve repeats from the cache and run HEFT only on structurally new
@@ -286,7 +294,7 @@ void Runtime::run_wave(const ClusterGraph& graph) {
     dm_.arm_channels();
     ++stats_.channels_armed;
     last_ = it->second;
-    dispatch(graph, it->second);
+    dispatch(graph, it->second, prefetch);
     return;
   }
   // A structurally new wave is not the cached shape: back to transient
@@ -301,7 +309,7 @@ void Runtime::run_wave(const ClusterGraph& graph) {
   if (schedule_cache_.size() >= 128) schedule_cache_.clear();  // bound it
   schedule_cache_.insert_or_assign(key, sched);
   last_ = sched;
-  dispatch(graph, sched);
+  dispatch(graph, sched, prefetch);
 }
 
 void Runtime::report_worker_failure(mpi::Rank dead) {
@@ -392,6 +400,10 @@ void Runtime::rollback(mpi::Rank dead) {
   // them (a Submit racing a Delete would be a use-after-free on the
   // worker's device heap).
   events_->quiesce();
+  // The wave's HeadState update has settled with everything else: commit
+  // what the shadow holds before the restore below changes the head state
+  // (and retires snapshot shadows only a later update stops naming).
+  await_replication();
 
   const std::int64_t lost_before = dm_.stats().buffers_lost.load();
   for (mpi::Rank r : corpses) dm_.purge_rank(r);
@@ -446,6 +458,14 @@ void Runtime::run_with_recovery(const ClusterGraph* current, bool replaying) {
   // rollback regressed buffers that completed waves had already written.
   bool current_is_logged =
       current != nullptr && !wave_log_.empty() && current == &wave_log_.back();
+  // A Head-locality capture fetches every buffer the wave dirtied, so when
+  // the next boundary captures, the wave's first run starts each fetch at
+  // the buffer's last write. Never in a replay: the replayed waves before
+  // `current` have more writes ahead of them before any capture.
+  const bool prefetch =
+      current != nullptr && opts_.checkpoint_period > 0 &&
+      opts_.checkpoint_locality == CheckpointLocality::Head &&
+      (wave_index_ + 1) % opts_.checkpoint_period == 0;
   for (;;) {
     try {
       // A failure reported while the head was idle between waves arms
@@ -459,7 +479,7 @@ void Runtime::run_with_recovery(const ClusterGraph* current, bool replaying) {
         const std::size_t upto =
             wave_log_.size() - (current_is_logged ? 1 : 0);
         for (std::size_t i = 0; i < upto; ++i) {
-          run_wave(wave_log_[i]);
+          run_wave(wave_log_[i], false);
           stats_.replayed_tasks +=
               static_cast<std::int64_t>(wave_log_[i].size());
           note_replay(wave_log_[i].tenant(),
@@ -467,13 +487,17 @@ void Runtime::run_with_recovery(const ClusterGraph* current, bool replaying) {
         }
       }
       if (current != nullptr) {
-        run_wave(*current);
+        run_wave(*current, prefetch && !replaying);
         if (replaying) {
           stats_.replayed_tasks += static_cast<std::int64_t>(current->size());
           note_replay(current->tenant(),
                       static_cast<std::int64_t>(current->size()));
         }
       }
+      // The wave is done; its HeadState update must be acknowledged before
+      // wait_all() returns. A head that died under it throws into the
+      // recovery below, which fails over and replays the wave.
+      await_replication();
       // Replay complete: close the recovery-latency episode. Guarded on
       // `replaying` so a detection landing after the wave finished is left
       // armed for the recovery that will process it, and on
@@ -551,8 +575,13 @@ void Runtime::execute_wave(ClusterGraph&& wave) {
   bool boundary_reset = false;
   if (ft) {
     if (wave_index_ % opts_.checkpoint_period == 0) {
+      const std::size_t retired_before = ckpt_.num_retired();
       try {
         ckpt_.capture(dm_, wave_index_, live_workers_);
+        // With no replica to name them, shadows retired before this commit
+        // are released now; a shadow's acknowledgement releases them
+        // otherwise (await_replication).
+        if (!replicating()) ckpt_.release_retired(retired_before);
         // The committed capture makes these waves unreachable by normal
         // recovery; they move to the previous-generation slot (not gone:
         // a degraded restore replays from the PRIOR boundary, and the
@@ -593,11 +622,25 @@ void Runtime::execute_wave(ClusterGraph&& wave) {
     // Pool/tenant aggregates ride in the replicated stats block; fold the
     // latest counters in before the state ships.
     refresh_derived_stats();
-    // Mirror the head state to the shadow rank BEFORE executing: if the
-    // head dies mid-wave, the promoted successor holds this very wave and
-    // replays it — that is the bitwise-identical failover guarantee.
+    // Mirror the head state to the shadow rank WHILE the wave executes:
+    // the update is started here and its acknowledgement awaited after the
+    // wave, before wait_all() returns. A head that dies mid-wave is
+    // recovered from the previous replica (or this update, if it landed)
+    // plus this control thread's own wave cache, which holds this very
+    // wave — the bitwise-identical failover guarantee does not need the
+    // update to land first.
     replicate_head_state(boundary_reset);
-    run_with_recovery(&wave_log_.back(), replaying);
+    try {
+      run_with_recovery(&wave_log_.back(), replaying);
+    } catch (...) {
+      // An unrecoverable wave leaves no update in flight behind it; whether
+      // the shadow applied it is unknown, so the next one is Full.
+      if (replication_) {
+        replication_.reset();
+        shadow_rank_ = -1;
+      }
+      throw;
+    }
   } else {
     run_with_recovery(&wave, replaying);
   }
@@ -1032,8 +1075,8 @@ void TenantSession::close() {
 // --- head failover (replicated state, election adoption) -----------------
 
 void Runtime::replicate_head_state(bool boundary_reset) {
-  if (bus_ == nullptr || !opts_.head_replication || live_workers_.empty())
-    return;
+  if (!replicating() || live_workers_.empty()) return;
+  OMPC_CHECK_MSG(!replication_, "a HeadState update is already in flight");
   // The shadow is the first live worker: deterministic, and recovery's
   // re-ranking naturally promotes the next one when it dies.
   const mpi::Rank shadow = live_workers_.front();
@@ -1078,10 +1121,10 @@ void Runtime::replicate_head_state(bool boundary_reset) {
   }
   const std::size_t from =
       kind == ReplicaStore::Update::Append ? replicated_waves_ : 0;
-  // Shared, not borrowed: if THIS rank dies while waiting for the shadow's
-  // completion, the unwind must not free bytes the in-flight envelope still
-  // references — the shadow would parse garbage at the exact moment its
-  // replica matters most.
+  // Shared, not borrowed: the update is still on the wire while the wave
+  // runs, and if THIS rank dies meanwhile, nothing the head frees may be
+  // bytes the in-flight envelope still references — the shadow would parse
+  // garbage at the exact moment its replica matters most.
   const auto payload = std::make_shared<const Bytes>(ReplicaStore::encode(
       kind, meta_blob, prev_wave_blobs_,
       std::span<const Bytes>(wave_blobs_).subspan(from), missing, ids));
@@ -1093,22 +1136,42 @@ void Runtime::replicate_head_state(bool boundary_reset) {
   ArchiveWriter hw;
   hw.put(h);
   try {
-    events_->run(shadow, EventKind::HeadState, hw.take(),
-                 mpi::Payload::share(payload, payload->data(),
-                                     payload->size()));
-    shadow_rank_ = shadow;
-    shadow_blob_ids_ = std::move(ids);
-    replicated_waves_ = wave_blobs_.size();
-    ++stats_.replication_updates;
-    stats_.replication_bytes += static_cast<std::int64_t>(payload->size());
+    replication_ = PendingReplication{
+        events_->start(shadow, EventKind::HeadState, hw.take(),
+                       mpi::Payload::share(payload, payload->data(),
+                                           payload->size())),
+        shadow, std::move(ids), wave_blobs_.size(),
+        static_cast<std::int64_t>(payload->size()), ckpt_.num_retired()};
   } catch (const WorkerDiedError&) {
+    // Shadow already gone: skip this round (see await_replication).
+    shadow_rank_ = -1;
+  }
+}
+
+void Runtime::await_replication() {
+  if (!replication_) return;
+  PendingReplication update = std::move(*replication_);
+  replication_.reset();
+  try {
+    update.ack->wait();
+  } catch (const WorkerDiedError&) {
+    if (events_->is_rank_gone(head_rank_)) throw;
     // Shadow died under the update. Skip this round; the detector will
     // shrink the live set and the next boundary resyncs (Full) to the new
     // front — forced here too, since whether the shadow applied the update
     // is unknown. Generations stay strictly increasing across the gap, so
     // the election invariant (freshest replica is unique) holds.
     shadow_rank_ = -1;
+    return;
   }
+  shadow_rank_ = update.shadow;
+  shadow_blob_ids_ = std::move(update.blob_ids);
+  replicated_waves_ = update.waves;
+  ++stats_.replication_updates;
+  stats_.replication_bytes += update.bytes;
+  // The replica a promoted head would adopt now names only what the update
+  // listed; the shadows retired before it started are nobody's any more.
+  ckpt_.release_retired(update.retired);
 }
 
 void Runtime::failover() {
@@ -1119,7 +1182,11 @@ void Runtime::failover() {
   failure_detected_ns_.compare_exchange_strong(expected, now_ns(),
                                                std::memory_order_acq_rel);
   const mpi::Rank old_head = head_rank_;
-  if (bus_ == nullptr || !opts_.head_replication)
+  // An update still in flight died with the old head's event plane; the
+  // adopted replica may or may not hold it, and the next update is a Full
+  // resync either way (adopt_replica).
+  replication_.reset();
+  if (!replicating())
     throw RecoveryError(
         "head rank died and head replication is disabled "
         "(ClusterOptions::head_replication); no failover possible");

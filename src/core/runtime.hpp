@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "core/checkpoint.hpp"
@@ -191,7 +192,9 @@ class Runtime {
   /// this rolls all buffers back to the last wave-boundary checkpoint,
   /// re-ranks the survivors, re-schedules the lost waves with HEFT and
   /// re-executes them — then returns normally. With checkpointing off it
-  /// throws RecoveryError instead of hanging.
+  /// throws RecoveryError instead of hanging. With head replication on it
+  /// returns only after the shadow acknowledged the wave's HeadState
+  /// update (sent while the wave ran).
   void wait_all();
 
   // --- multi-tenancy ----------------------------------------------------
@@ -295,8 +298,12 @@ class Runtime {
  private:
   friend class TenantSession;
 
-  void execute_task(const ClusterTask& t, int proc);
-  void dispatch(const ClusterGraph& graph, const ScheduleResult& sched);
+  /// Runs one task on processor `proc`. With `prefetch`, a target task
+  /// starts the head retrieve of every buffer it writes last in the wave
+  /// (the next boundary's Head-locality capture takes them over).
+  void execute_task(const ClusterTask& t, int proc, bool prefetch);
+  void dispatch(const ClusterGraph& graph, const ScheduleResult& sched,
+                bool prefetch);
   /// The shared wave engine: build edges, checkpoint/log/replicate when
   /// fault tolerance is on, run with the §5 recovery loop, advance the
   /// wave index. Both the legacy wait_all() path and the tenant serve
@@ -304,7 +311,7 @@ class Runtime {
   /// failover tenant-agnostic.
   void execute_wave(ClusterGraph&& wave);
   /// Schedules `graph` onto the surviving workers and dispatches it.
-  void run_wave(const ClusterGraph& graph);
+  void run_wave(const ClusterGraph& graph, bool prefetch);
   /// Runs `current` (nullable) with the §5 recovery loop around it: on a
   /// worker death, rolls back to the checkpoint and replays the logged
   /// waves (all of them when `current` is null — the between-waves repair
@@ -324,14 +331,29 @@ class Runtime {
 
   // --- head failover internals ------------------------------------------
 
-  /// Ships the head recording state to the shadow rank (the first live
-  /// worker): a Full resync when the shadow changed, a Reset when
+  /// Starts shipping the head recording state to the shadow rank (the
+  /// first live worker) and returns without waiting: the update travels
+  /// while the wave runs, and await_replication() collects the
+  /// acknowledgement before wait_all() returns. A Full resync when the
+  /// shadow changed or the last update failed, a Reset when
   /// `boundary_reset` committed a checkpoint (the wave log was cut), an
   /// Append of the new wave blobs otherwise. Checkpoint snapshot bytes the
-  /// shadow already holds travel as ids only. Best-effort: a dying shadow
-  /// is skipped this round and resynced to its successor at the next
-  /// boundary.
+  /// shadow already holds travel as ids only. At most one update is in
+  /// flight. Best-effort: a dying shadow is skipped this round and resynced
+  /// to its successor at the next boundary.
   void replicate_head_state(bool boundary_reset);
+
+  /// Waits for the in-flight HeadState update, if any. Acknowledged: the
+  /// shadow's holdings become the base of the next delta, and the snapshot
+  /// shadows retired before the update started are released. Shadow died
+  /// under it: the next update is a Full resync. Rethrows WorkerDiedError
+  /// only when the head itself died (recovery then fails over).
+  void await_replication();
+
+  /// Head state is mirrored to a shadow worker (head failover is possible).
+  bool replicating() const noexcept {
+    return bus_ != nullptr && opts_.head_replication;
+  }
 
   /// The head rank died: await the ring election on the membership bus,
   /// adopt the winner's event system and replica, re-home the DM and
@@ -402,6 +424,17 @@ class Runtime {
   /// Snapshot blob ids the shadow holds (sorted), as of the last update it
   /// acknowledged; only a Full resync ignores them.
   std::vector<std::uint64_t> shadow_blob_ids_;
+  /// The HeadState update in flight: what the shadow holds once it
+  /// acknowledges (committed by await_replication).
+  struct PendingReplication {
+    OriginEventPtr ack;
+    mpi::Rank shadow = -1;
+    std::vector<std::uint64_t> blob_ids;
+    std::size_t waves = 0;     ///< wave_blobs_ prefix the update covers
+    std::int64_t bytes = 0;    ///< payload size
+    std::size_t retired = 0;   ///< ckpt_.num_retired() when it started
+  };
+  std::optional<PendingReplication> replication_;
   /// Serialized mirrors of wave_log_ (same indices): what replication ships
   /// and what failover replays for waves the replica missed. prev_* mirror
   /// the generation retained by the checkpoint store for degraded restores.

@@ -1,7 +1,9 @@
 // CheckpointStore behaviour at wave boundaries: snapshot cadence follows
 // checkpoint_period, rollback restores the last boundary (not the initial
 // state), and multi-wave programs recover losing only the waves since the
-// last checkpoint — re-executed with bit-identical results.
+// last checkpoint — re-executed with bit-identical results. Head-locality
+// captures take over the retrieves a wave started at each buffer's last
+// write, never one started too early or during a replay.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,10 +12,28 @@
 
 #include "core/runtime.hpp"
 #include "offload/kernel_registry.hpp"
+#include "taskbench/kernel.hpp"
+#include "taskbench/runners.hpp"
 #include "taskbench/spec.hpp"
 
 namespace ompc::core {
 namespace {
+
+// ThreadSanitizer slows the control plane roughly an order of magnitude
+// while sleep kernels keep real time: stretch task lengths and kill
+// instants by the same factor so a kill still lands in the wave it aims at.
+#if defined(__SANITIZE_THREAD__)
+#define OMPC_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define OMPC_TEST_TSAN 1
+#endif
+#endif
+#ifdef OMPC_TEST_TSAN
+constexpr std::int64_t kTimeScale = 8;
+#else
+constexpr std::int64_t kTimeScale = 1;
+#endif
 
 /// buffers[0]: u64 cell. scalars: (sleep_ns). Adds 1 to the cell, burning
 /// `sleep_ns` first so waves are long enough for mid-wave kills.
@@ -160,6 +180,136 @@ TEST(Checkpoint, FailureAfterResultsDeliveredReplaysInsteadOfRegressing) {
   EXPECT_GE(stats.recoveries, 1);
   EXPECT_EQ(stats.workers_lost, 1);
   EXPECT_GE(stats.replayed_tasks, 1);
+}
+
+// --- Head locality: fetches started at each buffer's last write ----------
+
+/// buffers[0]: u64 cell. scalars: (sleep_ns, mul, add). Burns sleep_ns,
+/// then cell = cell * mul + add.
+const offload::KernelId kAffine =
+    offload::KernelRegistry::instance().register_kernel(
+        "test_checkpoint_affine", [](offload::KernelContext& ctx) {
+          auto r = ctx.scalars();
+          const auto sleep_ns = r.get<std::int64_t>();
+          const auto mul = r.get<std::uint64_t>();
+          const auto add = r.get<std::uint64_t>();
+          precise_sleep_ns(sleep_ns);
+          std::uint64_t& cell = *ctx.buffer<std::uint64_t>(0);
+          cell = cell * mul + add;
+        });
+
+struct ChainRun {
+  std::uint64_t chained = 0;
+  std::uint64_t single = 0;
+  std::int64_t host_runs = 0;
+  std::int64_t prefetches = 0;  ///< DataManager head prefetches
+  RuntimeStats stats;
+};
+
+/// Every wave writes `chained` through two chained targets (x3+1, then
+/// x5+2) and then a host task that declares inout on it — the wave's last
+/// writer of `chained`, so neither target may start its head fetch — and
+/// writes `single` with one target (x7+3), its last writer.
+ChainRun run_chain(const ClusterOptions& opts, int waves,
+                   std::int64_t task_ns) {
+  ChainRun out;
+  out.stats = launch(opts, [&](Runtime& rt) {
+    rt.enter_data(&out.chained, sizeof out.chained);
+    rt.enter_data(&out.single, sizeof out.single);
+    const auto affine = [&](std::uint64_t* cell, std::uint64_t mul,
+                            std::uint64_t add) {
+      Args args;
+      args.buf(cell).scalar(task_ns).scalar(mul).scalar(add);
+      rt.target({omp::inout(cell)}, kAffine, std::move(args),
+                static_cast<double>(task_ns) * 1e-9);
+    };
+    for (int w = 0; w < waves; ++w) {
+      affine(&out.chained, 3, 1);
+      affine(&out.chained, 5, 2);
+      rt.host_task([&out] { ++out.host_runs; }, {omp::inout(&out.chained)});
+      affine(&out.single, 7, 3);
+      rt.wait_all();
+    }
+    out.prefetches = rt.data_manager().stats().head_prefetches.load();
+    rt.exit_data(&out.chained);
+    rt.exit_data(&out.single);
+  });
+  return out;
+}
+
+class LastWritePrefetch : public ::testing::TestWithParam<int> {};
+
+TEST_P(LastWritePrefetch, WorkerKilledMidRunChecksumMatches) {
+  // Six waves of ~100 ms (two chained 50 ms targets); worker rank 2 dies at
+  // 350 ms, mid wave 3, so recovery replays wave 3 (period 1) or waves 2
+  // and 3 (period 2). A head fetch started after a writer that is not the
+  // buffer's last one — the first target, or the second with the host task
+  // still to come — trips the fail-fast write check, and so does one
+  // started while replaying wave 2, which wave 3 writes again.
+  const int period = GetParam();
+  ClusterOptions opts;
+  opts.num_workers = 3;
+  opts.heartbeat_period_ms = 5;
+  opts.heartbeat_timeout_ms = 60;
+  opts.checkpoint_period = period;
+  opts.checkpoint_locality = CheckpointLocality::Head;
+  opts.kills.push_back({2, 350'000'000 * kTimeScale});
+
+  constexpr int kWaves = 6;
+  const ChainRun r = run_chain(opts, kWaves, 50'000'000 * kTimeScale);
+  std::uint64_t chained = 0;
+  std::uint64_t single = 0;
+  for (int w = 0; w < kWaves; ++w) {
+    chained = (chained * 3 + 1) * 5 + 2;
+    single = single * 7 + 3;
+  }
+  EXPECT_EQ(r.chained, chained);
+  EXPECT_EQ(r.single, single);
+  EXPECT_GE(r.host_runs, kWaves);
+  EXPECT_GE(r.stats.recoveries, 1);
+  EXPECT_EQ(r.stats.workers_lost, 1);
+  // Only `single` is ever prefetched, at most once per wave whose first
+  // run precedes a capturing boundary (every wave at period 1, every
+  // second one at period 2).
+  EXPECT_GT(r.prefetches, 0);
+  EXPECT_LE(r.prefetches, kWaves / period);
+}
+
+INSTANTIATE_TEST_SUITE_P(Periods, LastWritePrefetch, ::testing::Values(1, 2),
+                         [](const auto& info) {
+                           return "Period" + std::to_string(info.param);
+                         });
+
+TEST(Checkpoint, RetrievesPerCaptureEqualTheDirtyBuffersOnTbFtShape) {
+  // ompcbench's tb_ft shape without kills: each capture retrieves every
+  // dirty buffer exactly once, whether the retrieve started at the
+  // buffer's last write or at the boundary. Differencing two run lengths
+  // cancels the first capture (all 16 buffers dirty and still on the
+  // head) and the exit wave.
+  taskbench::TaskBenchSpec spec;
+  spec.pattern = taskbench::Pattern::Stencil1D;
+  spec.width = 8;
+  spec.iterations = 200'000;  // 1 ms Sleep tasks
+  spec.mode = taskbench::KernelMode::Sleep;
+  spec.output_bytes = 4096;
+  ClusterOptions opts;
+  opts.num_workers = 3;
+  opts.network = {20'000, 100.0e6, 8};
+  opts.checkpoint_period = 1;
+
+  spec.steps = 4;
+  const auto short_run = taskbench::run_ompc_stepwise(spec, opts);
+  spec.steps = 12;
+  const auto long_run = taskbench::run_ompc_stepwise(spec, opts);
+  ASSERT_EQ(long_run.checksum, taskbench::expected_checksum(spec));
+
+  ASSERT_EQ(long_run.stats.checkpoints - short_run.stats.checkpoints, 8);
+  const std::int64_t dirty_buffers = (long_run.stats.checkpoint_dirty_bytes -
+                                      short_run.stats.checkpoint_dirty_bytes) /
+                                     4096;
+  EXPECT_EQ(dirty_buffers, 8 * 8);
+  EXPECT_EQ(long_run.stats.retrieves - short_run.stats.retrieves,
+            dirty_buffers);
 }
 
 TEST(Checkpoint, MultiWaveRecoveryReplaysOnlySinceLastBoundary) {

@@ -7,8 +7,11 @@
 // commit). Also covers composition with Forwarding::ViaHead.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -180,7 +183,7 @@ TEST(WorkerLocalCheckpoint, OwnerAndBuddyDyingInOnePeriodIsRecoveryError) {
 
 /// Head-side fixture with direct access to the universe's fault injection:
 /// a head rank driving DataManager/CheckpointStore by hand plus `workers`
-/// event-system-only worker ranks.
+/// event-system-only worker ranks, whose device heaps body() may inspect.
 struct MiniCluster {
   explicit MiniCluster(int workers) {
     opts.num_workers = workers;
@@ -198,6 +201,13 @@ struct MiniCluster {
       if (ctx.rank() == 0) {
         EventSystem events(ctx, opts, nullptr, nullptr);
         DataManager dm(events, opts);
+        {
+          std::unique_lock<std::mutex> lock(mutex_);
+          cv_.wait(lock, [this] {
+            return memories_.size() ==
+                   static_cast<std::size_t>(opts.num_workers);
+          });
+        }
         body(dm, events, universe);
         try {
           dm.cleanup_all();
@@ -209,12 +219,28 @@ struct MiniCluster {
         WorkerMemory memory(&ctx.universe(), ctx.rank());
         omp::TaskRuntime pool(1);
         EventSystem events(ctx, opts, &memory, &pool);
+        {
+          std::lock_guard<std::mutex> lock(mutex_);
+          memories_[ctx.rank()] = &memory;
+        }
+        cv_.notify_all();
         events.wait_until_stopped();
       }
     });
   }
 
+  /// Worker `rank`'s device heap; valid inside body().
+  const WorkerMemory& memory(mpi::Rank rank) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return *memories_.at(rank);
+  }
+
   ClusterOptions opts;
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::map<mpi::Rank, const WorkerMemory*> memories_;
 };
 
 /// buffers[0]: u64 cell. scalars: (value). Overwrites the cell.
@@ -273,6 +299,49 @@ TEST(WorkerLocalCheckpoint, DeathMidCaptureLeavesPreviousGenerationIntact) {
     dm.reset_all_to_host();
     ckpt.restore(dm);
     EXPECT_EQ(cell, 1u);  // generation 1, not the aborted generation 2
+  });
+}
+
+TEST(WorkerLocalCheckpoint, RetiredShadowsOutliveTheCommitUntilReleased) {
+  // Generation 1 (owner rank 1, buddy rank 2) drops out of both retained
+  // generations when generation 3 commits. A replica of the head state
+  // serialized before that commit still names it, and a head promoted from
+  // that replica may restore from it, so the commit only retires its
+  // shadows: they stay allocated, and fetchable, until released.
+  MiniCluster c(3);
+  c.run([&c](DataManager& dm, EventSystem& events, mpi::Universe&) {
+    std::uint64_t cell = 0;
+    dm.register_buffer(&cell, sizeof cell);
+    CheckpointStore ckpt(&events, CheckpointLocality::Buddy);
+    const mpi::Rank live[] = {1, 2, 3};
+
+    write_on_worker(dm, events, 1, &cell, 1);
+    ckpt.capture(dm, 0, live);
+    const std::vector<offload::TargetPtr> gen1_on_r1 = ckpt.shadows_on(1);
+    ASSERT_EQ(gen1_on_r1.size(), 1u);
+    write_on_worker(dm, events, 3, &cell, 2);
+    ckpt.capture(dm, 1, live);  // owner rank 3, buddy rank 1
+    write_on_worker(dm, events, 2, &cell, 3);
+    const std::size_t r1_blocks = c.memory(1).live();
+    const std::size_t r2_blocks = c.memory(2).live();
+
+    ckpt.capture(dm, 2, live);  // owner rank 2, buddy rank 3
+    EXPECT_EQ(ckpt.num_retired(), 2u);
+    ASSERT_EQ(c.memory(1).live(), r1_blocks) << "generation 1 freed at commit";
+    EXPECT_EQ(c.memory(2).live(), r2_blocks + 1);  // + generation 3's owner
+    std::uint64_t fetched = 0;
+    events
+        .start_retrieve(1, gen1_on_r1[0], &fetched, sizeof fetched,
+                        core::EventKind::SnapshotFetch)
+        ->wait();
+    EXPECT_EQ(fetched, 1u);
+
+    const std::int64_t drops = ckpt.stats().snapshot_drops;
+    ckpt.release_retired(ckpt.num_retired());
+    EXPECT_EQ(ckpt.num_retired(), 0u);
+    EXPECT_EQ(ckpt.stats().snapshot_drops, drops + 2);
+    EXPECT_EQ(c.memory(1).live(), r1_blocks - 1);
+    EXPECT_EQ(c.memory(2).live(), r2_blocks);
   });
 }
 

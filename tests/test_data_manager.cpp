@@ -3,6 +3,10 @@
 // cluster-wide cleanup — observed through snapshots and worker memory.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
+#include <string>
+
 #include "core/data_manager.hpp"
 
 namespace ompc::core {
@@ -271,6 +275,112 @@ TEST(DataManager, ConcurrentRequestsForSameWorkerCoalesce) {
     // Exactly one alloc + one submit despite four concurrent requests.
     EXPECT_EQ(dm.stats().allocs.load(), 1);
     EXPECT_EQ(dm.stats().submits.load(), 1);
+  });
+}
+
+// --- prefetch_to_head: a head fetch started at the buffer's last write ------
+
+/// Leaves `buf` valid on worker 1 only, holding `value` there (the head
+/// copy keeps its old contents).
+void write_on_worker_1(DataManager& dm, EventSystem& es, std::uint64_t* buf,
+                       std::uint64_t value) {
+  const void* args[] = {buf};
+  const auto addrs = dm.prepare_args(1, args);
+  ArchiveWriter sh;
+  sh.put(SubmitHeader{addrs[0], sizeof value});
+  Bytes payload(sizeof value);
+  std::memcpy(payload.data(), &value, sizeof value);
+  es.run(1, EventKind::Submit, sh.take(), std::move(payload));
+  dm.after_write(1, {omp::inout(buf)});
+}
+
+std::string address_of(const void* p) {
+  std::ostringstream os;
+  os << p;
+  return os.str();
+}
+
+TEST(DataManager, CaptureFetchTakesOverAPendingPrefetch) {
+  Cluster c(1);
+  c.run([](DataManager& dm, EventSystem& es) {
+    std::uint64_t buf = 7;
+    dm.register_buffer(&buf, sizeof buf);
+    write_on_worker_1(dm, es, &buf, 1234);
+
+    const std::int64_t events_before = es.stats().originated.load();
+    dm.prefetch_to_head(&buf);
+    dm.prefetch_to_head(&buf);  // already in flight: not a second retrieve
+    EXPECT_TRUE(dm.snapshot(&buf).head_fetch_pending);
+    EXPECT_EQ(es.stats().originated.load(), events_before + 1);
+
+    // The capture's fan-out finds the retrieve in flight and waits for it.
+    const void* hosts[] = {&buf};
+    EXPECT_EQ(dm.refresh_head_many(hosts),
+              static_cast<std::int64_t>(sizeof buf));
+    EXPECT_EQ(es.stats().originated.load(), events_before + 1);
+    EXPECT_EQ(dm.stats().head_prefetches.load(), 1);
+    EXPECT_EQ(dm.stats().retrieves.load(), 1);
+    EXPECT_EQ(buf, 1234u);
+    const auto s = dm.snapshot(&buf);
+    EXPECT_TRUE(s.valid_on_head);
+    EXPECT_FALSE(s.head_fetch_pending);
+    EXPECT_TRUE(s.valid_workers.contains(1));  // a read: placement stays
+  });
+}
+
+TEST(DataManager, ResetAllToHostDropsAPendingPrefetch) {
+  Cluster c(1);
+  c.run([](DataManager& dm, EventSystem& es) {
+    std::uint64_t buf = 7;
+    dm.register_buffer(&buf, sizeof buf);
+    write_on_worker_1(dm, es, &buf, 1234);
+
+    dm.prefetch_to_head(&buf);
+    es.quiesce();  // rollback's order: quiesce, then reset
+    dm.reset_all_to_host();
+    const auto s = dm.snapshot(&buf);
+    EXPECT_FALSE(s.head_fetch_pending);
+    EXPECT_TRUE(s.valid_on_head);
+    EXPECT_TRUE(s.valid_workers.empty());
+    EXPECT_EQ(dm.stats().retrieves.load(), 0);  // dropped, not taken over
+
+    // Nothing of the dropped retrieve lands after the restore, and the head
+    // copy needs no further fetch.
+    const std::uint64_t restored = 99;
+    dm.restore_buffer(&buf, sizeof buf,
+                      std::as_bytes(std::span(&restored, 1)));
+    const std::int64_t events_before = es.stats().originated.load();
+    dm.refresh_head(&buf);
+    es.quiesce();
+    EXPECT_EQ(es.stats().originated.load(), events_before);
+    EXPECT_EQ(buf, 99u);
+  });
+}
+
+TEST(DataManager, WriteWhileAHeadFetchIsInFlightFailsNamingTheBuffer) {
+  Cluster c(1);
+  c.run([](DataManager& dm, EventSystem& es) {
+    std::uint64_t buf = 7;
+    dm.register_buffer(&buf, sizeof buf);
+    write_on_worker_1(dm, es, &buf, 1234);
+    dm.prefetch_to_head(&buf);
+
+    const auto expect_named = [&buf](const std::function<void()>& write) {
+      try {
+        write();
+        FAIL() << "a write raced an in-flight head fetch unnoticed";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find(address_of(&buf)),
+                  std::string::npos)
+            << e.what();
+      }
+    };
+    expect_named([&] { dm.after_write(1, {omp::inout(&buf)}); });
+    expect_named([&] { dm.after_host_write({omp::out(&buf)}); });
+
+    dm.refresh_head(&buf);  // settle the fetch; writes are fine again
+    EXPECT_EQ(buf, 1234u);
+    dm.after_host_write({omp::inout(&buf)});
   });
 }
 

@@ -361,7 +361,7 @@ TEST(ReplicaStoreBlobs, ListedIdNeitherCarriedNorHeldFailsNamingIt) {
   EXPECT_EQ(store.snapshot().waves.size(), 1u);
 }
 
-// --- elastic membership: join/leave at wave boundaries --------------------
+// --- tick waves: the programs of the sections below -----------------------
 
 /// buffers[0]: u64 cell. scalars: (sleep_ns). Burns sleep_ns, then += 1.
 const offload::KernelId kTick =
@@ -384,6 +384,107 @@ void tick_wave(core::Runtime& rt, std::vector<std::uint64_t>& cells,
   }
   rt.wait_all();
 }
+
+// --- a HeadState update still on the wire when the head or shadow dies ---
+
+/// Host-side state no target touches: its freshest copy never leaves the
+/// head, so the head snapshots its bytes in both localities and every
+/// update carries them (a host task rewrites it each wave).
+constexpr std::size_t kHostStateWords = (1u << 20) / sizeof(std::uint64_t);
+
+/// 20 MB/s links (dilated with the tasks under TSan): each wave's update,
+/// the 1 MiB host state plus metadata, spends ~52 ms on the wire while the
+/// wave's tasks take 10 ms, so the update is in flight through every wave
+/// and the head then waits for it. Only the capture between two updates
+/// (microseconds of metadata plus a 1 MiB copy) has none in flight.
+ClusterOptions slow_update_opts(ClusterOptions o) {
+  o.network = mpi::NetworkModel{50'000, 20.0e6, 8}.dilated(kTimeScale);
+  return o;
+}
+
+struct HostStateRun {
+  std::vector<std::uint64_t> cells;
+  std::vector<std::uint64_t> host_state;
+  core::RuntimeStats stats;
+};
+
+/// `waves` waves, each ticking 4 worker cells (10 ms tasks) and adding 1
+/// to every word of the host state on the head.
+HostStateRun run_with_host_state(const ClusterOptions& opts, int waves) {
+  HostStateRun out;
+  out.cells.assign(4, 0);
+  out.host_state.assign(kHostStateWords, 0);
+  out.stats = core::launch(opts, [&](core::Runtime& rt) {
+    std::vector<std::uint64_t>& hs = out.host_state;
+    for (std::uint64_t& c : out.cells) rt.enter_data(&c, sizeof c);
+    rt.enter_data(hs.data(), hs.size() * sizeof(std::uint64_t),
+                  /*copy=*/false);
+    for (int w = 0; w < waves; ++w) {
+      rt.host_task([&hs] { for (std::uint64_t& v : hs) v += 1; },
+                   {omp::inout(hs.data())});
+      tick_wave(rt, out.cells, 10'000'000 * kTimeScale);
+    }
+    for (std::uint64_t& c : out.cells) rt.exit_data(&c);
+    rt.exit_data(hs.data());
+  });
+  return out;
+}
+
+void expect_every_wave_applied(const HostStateRun& r, int waves) {
+  const auto expected = static_cast<std::uint64_t>(waves);
+  for (const std::uint64_t c : r.cells) EXPECT_EQ(c, expected);
+  std::size_t wrong = 0;
+  for (const std::uint64_t v : r.host_state)
+    if (v != expected) ++wrong;
+  EXPECT_EQ(wrong, 0u) << "host-state words not advanced exactly " << waves
+                       << " times";
+}
+
+class HeadKilledWithUpdateInFlight
+    : public ::testing::TestWithParam<CheckpointLocality> {};
+
+TEST_P(HeadKilledWithUpdateInFlight, ChecksumMatches) {
+  // The head dies 150 ms in, about three updates into the run and while
+  // one is on the wire. The shadow may or may not have applied it; either
+  // way the promoted head resumes from the replica it holds plus the
+  // client's wave cache, which covers the wave in flight.
+  constexpr int kWaves = 8;
+  ClusterOptions opts = slow_update_opts(failover_opts(3));
+  opts.checkpoint_locality = GetParam();
+  opts.kills.push_back({0, at_ms(150)});
+
+  const HostStateRun r = run_with_host_state(opts, kWaves);
+  expect_every_wave_applied(r, kWaves);
+  EXPECT_GE(r.stats.failovers, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Localities, HeadKilledWithUpdateInFlight,
+    ::testing::Values(CheckpointLocality::Head, CheckpointLocality::Buddy),
+    [](const auto& info) {
+      return std::string(info.param == CheckpointLocality::Head ? "Head"
+                                                                : "Buddy");
+    });
+
+TEST(HeadLocalityReplication, ShadowKilledWithItsUpdateInFlightResyncsFull) {
+  // The shadow (rank 1, the first live worker) dies 150 ms in, with an
+  // update on the wire to it. The update fails, so the next boundary must
+  // resync rank 2 with a Full update: rank 2 holds no blobs yet, and a
+  // delta listing blob ids it never received would be rejected by its
+  // replica store (a CheckError on its handler thread). Every later update
+  // builds on that resync.
+  constexpr int kWaves = 8;
+  ClusterOptions opts = slow_update_opts(head_locality_opts(3));
+  opts.kills.push_back({1, at_ms(150)});
+
+  const HostStateRun r = run_with_host_state(opts, kWaves);
+  expect_every_wave_applied(r, kWaves);
+  EXPECT_EQ(r.stats.failovers, 0);
+  EXPECT_EQ(r.stats.workers_lost, 1);
+  EXPECT_GE(r.stats.recoveries, 1);
+}
+
+// --- elastic membership: join/leave at wave boundaries --------------------
 
 TEST(ElasticMembership, SpareJoinsRunsTasksAndSurvivesOwnerKill) {
   // A spare rank joins at a wave boundary, receives a slice of the
