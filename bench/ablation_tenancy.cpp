@@ -93,7 +93,6 @@ int main() {
   std::int64_t cache_hits = 0;
   std::int64_t rejections = 0;
   std::int64_t pool_peak = 0;
-  std::int64_t pool_retired = 0;
   std::int64_t tenant_waves = 0;
   SampleStats wide_lat_ms;
   SampleStats stencil_lat_ms;
@@ -115,7 +114,6 @@ int main() {
     collect_latencies(streams[2].stats, stencil_lat_ms);
     cache_hits += streams[0].stats.schedule_cache_hits;
     pool_peak = std::max(pool_peak, rs.pool_threads_peak);
-    pool_retired += rs.pool_threads_retired;
     tenant_waves += rs.tenant_waves;
     mixed_wall.add(ns_to_s(rs.wall_ns));
   }
@@ -145,11 +143,10 @@ int main() {
 
   std::printf(
       "\nnarrow p99 mixed/solo ratio %.2fx (limit 3x); schedule cache hits "
-      "%lld; admission rejections %lld; pool peak %lld threads, %lld "
-      "retired; %lld tenant waves across %d mixed runs\n",
+      "%lld; admission rejections %lld; pool peak %lld threads; %lld "
+      "tenant waves across %d mixed runs\n",
       ratio, static_cast<long long>(cache_hits),
       static_cast<long long>(rejections), static_cast<long long>(pool_peak),
-      static_cast<long long>(pool_retired),
       static_cast<long long>(tenant_waves), reps);
 
   {
@@ -178,7 +175,6 @@ int main() {
          << "  \"schedule_cache_hits_narrow\": " << cache_hits << ",\n"
          << "  \"admission_rejections\": " << rejections << ",\n"
          << "  \"pool_threads_peak\": " << pool_peak << ",\n"
-         << "  \"pool_threads_retired\": " << pool_retired << ",\n"
          << "  \"tenant_waves\": " << tenant_waves << ",\n"
          << "  \"bitwise_identical\": " << (ok ? "true" : "false") << "\n"
          << "}\n";

@@ -11,16 +11,13 @@ namespace ompc::core {
 
 DataManager::DataManager(EventSystem& events, const ClusterOptions& opts)
     : events_(&events), opts_(opts) {
-  // Elastic (ROADMAP "elastic pool sizing"): the ceiling is the old fixed
-  // launch size — it still bounds concurrent fetches — but only a small
-  // floor spawns upfront; fan-outs grow the pool on demand and idle growth
-  // retires. Spawns are counted straight into stats_ by the pool (growth
-  // happens mid-run, on transfer threads, where we cannot poll).
-  const int n = opts_.transfer_threads > 0 ? opts_.transfer_threads
-                                           : opts_.cluster_pool_threads();
+  // Elastic: the ceiling still bounds concurrent fetches, but only a small
+  // floor spawns upfront and fan-outs grow the pool on demand. Spawns are
+  // counted straight into stats_ by the pool (growth happens mid-run, on
+  // transfer threads, where we cannot poll).
+  const int n = opts_.cluster_pool_threads();
   transfer_pool_ = std::make_unique<HelperPool>(
-      opts_.pool_floor(n), n, opts_.pool_idle_shrink_ms, "xfer",
-      &stats_.threads_spawned);
+      opts_.pool_floor(n), n, "xfer", &stats_.threads_spawned);
 }
 
 void DataManager::register_buffer(void* host, std::size_t size) {
@@ -306,23 +303,23 @@ void DataManager::after_write(mpi::Rank worker, const omp::DepList& deps) {
       for (mpi::Rank r : stale) delete_on_locked(r, *b, lk);
     }
     b->state.clear();
-    b->state[worker] = CopyState::Valid;
-    b->on_head = false;
+    if (worker >= 0) b->state[worker] = CopyState::Valid;
+    b->on_head = worker < 0;
     lk.unlock();
     mark_dirty(d.addr);
   }
 }
 
 void DataManager::after_host_write(const omp::DepList& deps) {
+  after_write(-1, deps);
+}
+
+void DataManager::refresh_head_deps(const omp::DepList& deps) {
   for (const omp::Dep& d : deps) {
-    if (!omp::is_write(d.type)) continue;
     BufferState* b = find(d.addr);
-    if (b == nullptr) continue;
-    {
-      std::lock_guard<std::mutex> lock(b->lock);
-      check_no_head_fetch_locked(*b);
-    }
-    mark_dirty(d.addr);
+    if (b == nullptr) continue;  // dependence on non-buffer storage
+    std::unique_lock<std::mutex> lk(b->lock);
+    fetch_to_head_locked(*b, lk);
   }
 }
 

@@ -90,17 +90,19 @@ class DataManager {
       mpi::Rank worker, std::span<const void* const> buffers);
 
   /// Applies post-execution invalidation: each written dependence leaves
-  /// `worker` as the only valid location (and marks the buffer dirty for
-  /// the next incremental checkpoint). Fails, naming the buffer, when a
-  /// retrieve into its host copy is still in flight.
+  /// `worker` (-1: the head's host copy) as the only valid location (and
+  /// marks the buffer dirty for the next incremental checkpoint). Fails,
+  /// naming the buffer, when a retrieve into its host copy is still in
+  /// flight.
   void after_write(mpi::Rank worker, const omp::DepList& deps);
 
-  /// Host-task equivalent of after_write's dirty marking: a host task
-  /// writes `host` memory directly (the head copy stays authoritative, no
-  /// replica invalidation to do), but the incremental checkpointer must
-  /// still re-capture every written buffer. Fails like after_write when a
-  /// retrieve into a written buffer is in flight.
+  /// after_write(-1, deps): a host task wrote the head copies in place.
   void after_host_write(const omp::DepList& deps);
+
+  /// Makes the head copy of every registered dependence in `deps` valid (a
+  /// host task's inputs), taking over a pending prefetch. Worker replicas
+  /// stay valid.
+  void refresh_head_deps(const omp::DepList& deps);
 
   /// Starts retrieving the freshest worker copy of `host` to the head and
   /// returns without waiting (no-op when the head copy is valid or a fetch
@@ -234,8 +236,8 @@ class DataManager {
 
   const DataManagerStats& stats() const { return stats_; }
 
-  /// The elastic transfer pool (Runtime folds its peak/retire counters
-  /// into RuntimeStats; tests assert the elasticity).
+  /// The elastic transfer pool (Runtime folds its peak counter into
+  /// RuntimeStats; tests assert the elasticity).
   const HelperPool& transfer_pool() const { return *transfer_pool_; }
 
  private:
@@ -324,9 +326,9 @@ class DataManager {
 
   /// Shared transfer pool for prepare_args fan-out — created with the
   /// manager (once per launch, like the dispatch pool). Elastic: capped at
-  /// ClusterOptions::transfer_threads (auto: cluster_pool_threads), grown
-  /// on demand from a small floor. Growth is demand-based, so
-  /// threads_spawned stays wave-count-independent for steady workloads.
+  /// ClusterOptions::cluster_pool_threads(), grown on demand from a small
+  /// floor. Growth is demand-based, so threads_spawned stays
+  /// wave-count-independent for steady workloads.
   std::unique_ptr<HelperPool> transfer_pool_;
 
   DataManagerStats stats_;

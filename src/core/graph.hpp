@@ -43,11 +43,11 @@ struct ClusterTask {
   // Data tasks.
   const void* buffer = nullptr;
   bool copy = true;  ///< enter: copy payload; exit: copy back to host
-  /// DataEnter only: the mapping's byte size. Session-recorded enters defer
-  /// DM registration to execution time (the session thread must not mutate
-  /// the registry while another tenant's wave is in flight), so the size
-  /// must travel with the task — and with the serialized wave log, where it
-  /// also lets a promoted head replay an enter it never saw registered.
+  /// DataEnter only: the mapping's byte size. Recording never touches the
+  /// DM (a tenant's thread must not mutate the registry while another
+  /// tenant's wave is in flight): execute_wave registers the enter from
+  /// it, and the serialized wave log carries it, so a promoted head can
+  /// replay an enter it never saw registered.
   std::size_t buffer_bytes = 0;
 
   // Host tasks. A std::function cannot cross a serialization boundary, so
@@ -133,9 +133,9 @@ class ClusterGraph {
   TenantId tenant() const noexcept { return tenant_; }
   void set_tenant(TenantId t) noexcept { tenant_ = t; }
 
-  /// Replaces the edge-weight resolver (used when a session hands its
-  /// graph to the runtime: the recording-time resolver points into
-  /// session-owned state, the submitted graph gets a self-contained one).
+  /// Replaces the edge-weight resolver (a recorder hands each wave over
+  /// with a self-contained one: the wave may be scheduled or replayed long
+  /// after the recorder's own mapped set changed).
   void set_buffer_size_fn(std::function<std::size_t(const void*)> fn) {
     buffer_size_ = std::move(fn);
   }

@@ -1,7 +1,6 @@
 #include "core/helper_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <latch>
 #include <memory>
 
@@ -11,81 +10,54 @@
 namespace ompc::core {
 
 HelperPool::HelperPool(int threads, std::string label_prefix)
-    : HelperPool(std::max(1, threads), std::max(1, threads), 0,
-                 std::move(label_prefix)) {}
+    : HelperPool(threads, threads, std::move(label_prefix)) {}
 
 HelperPool::HelperPool(int min_threads, int max_threads,
-                       std::int64_t idle_shrink_ms, std::string label_prefix,
+                       std::string label_prefix,
                        std::atomic<std::int64_t>* spawn_counter)
     : min_(std::max(1, min_threads)),
       max_(std::max(std::max(1, min_threads), max_threads)),
-      idle_shrink_ms_(idle_shrink_ms),
       label_(std::move(label_prefix)),
       spawn_counter_(spawn_counter) {
   std::lock_guard<std::mutex> lock(mutex_);
-  while (live_ < min_) spawn_locked();
+  while (num_threads_locked() < min_) spawn_locked();
 }
 
 HelperPool::~HelperPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
   std::vector<std::thread> to_join;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    // A worker seeing stop_ returns with its handle still in threads_; one
-    // racing the flag into its retire path has already moved its handle to
-    // reap_. Either way the handle is in exactly one of the two lists.
-    for (auto& [slot, t] : threads_) to_join.push_back(std::move(t));
-    threads_.clear();
-    to_join.insert(to_join.end(), std::make_move_iterator(reap_.begin()),
-                   std::make_move_iterator(reap_.end()));
-    reap_.clear();
+    stop_ = true;
+    to_join.swap(threads_);
   }
+  cv_.notify_all();
   for (auto& t : to_join) t.join();
 }
 
 int HelperPool::num_threads() const noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
-  return live_;
+  return num_threads_locked();
 }
 
 void HelperPool::spawn_locked() {
-  const std::int64_t slot = next_slot_++;
-  threads_.emplace(
-      slot, std::thread([this, slot, label = label_ + std::to_string(slot)] {
+  threads_.emplace_back(
+      [this, label = label_ + std::to_string(threads_.size())] {
         log::set_thread_label(label);
-        worker_main(slot);
-      }));
-  ++live_;
+        worker_main();
+      });
   threads_spawned_.fetch_add(1, std::memory_order_relaxed);
   if (spawn_counter_ != nullptr)
     spawn_counter_->fetch_add(1, std::memory_order_relaxed);
-  int peak = peak_threads_.load(std::memory_order_relaxed);
-  while (live_ > peak &&
-         !peak_threads_.compare_exchange_weak(peak, live_,
-                                              std::memory_order_relaxed)) {
-  }
 }
 
 void HelperPool::reserve(int target) {
-  std::vector<std::thread> to_reap;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    OMPC_CHECK_MSG(!stop_, "reserve on a stopped helper pool");
-    const int want = std::min(max_, target);
-    while (live_ < want) spawn_locked();
-    to_reap.swap(reap_);
-  }
-  // Join retired threads outside the lock (they have already exited or are
-  // unwinding their last stack frames; this just releases the handles).
-  for (auto& t : to_reap) t.join();
+  std::lock_guard<std::mutex> lock(mutex_);
+  OMPC_CHECK_MSG(!stop_, "reserve on a stopped helper pool");
+  const int want = std::min(max_, target);
+  while (num_threads_locked() < want) spawn_locked();
 }
 
 void HelperPool::submit(std::function<void()> job) {
-  std::vector<std::thread> to_reap;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     OMPC_CHECK_MSG(!stop_, "submit on a stopped helper pool");
@@ -94,47 +66,21 @@ void HelperPool::submit(std::function<void()> job) {
     // timing, which would make the spawn count nondeterministic across
     // identical waves (the hotpath gates assert it exactly). Growth is the
     // callers' announced demand — reserve().
-    to_reap.swap(reap_);
   }
   cv_.notify_one();
-  for (auto& t : to_reap) t.join();
 }
 
-void HelperPool::worker_main(std::int64_t slot) {
+void HelperPool::worker_main() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    bool timed_out = false;
-    ++idle_;
-    if (idle_shrink_ms_ > 0) {
-      timed_out =
-          !cv_.wait_for(lock, std::chrono::milliseconds(idle_shrink_ms_),
-                        [this] { return stop_ || !queue_.empty(); });
-    } else {
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    }
-    --idle_;
-    if (!queue_.empty()) {
-      std::function<void()> job = std::move(queue_.front());
-      queue_.pop_front();
-      lock.unlock();
-      job();
-      jobs_run_.fetch_add(1, std::memory_order_relaxed);
-      lock.lock();
-      continue;
-    }
-    if (stop_) return;  // drained
-    if (timed_out && live_ > min_) {
-      // Idle shrink: retire this thread. It cannot join itself, so the
-      // handle moves to reap_ for the next submit (or the destructor).
-      --live_;
-      threads_retired_.fetch_add(1, std::memory_order_relaxed);
-      if (auto it = threads_.find(slot); it != threads_.end()) {
-        reap_.push_back(std::move(it->second));
-        threads_.erase(it);
-      }
-      return;
-    }
-    // Timed out at the floor (or spurious wake): keep waiting.
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopped and drained
+    std::function<void()> job = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    job();
+    jobs_run_.fetch_add(1, std::memory_order_relaxed);
+    lock.lock();
   }
 }
 

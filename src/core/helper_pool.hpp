@@ -1,4 +1,4 @@
-// Persistent, elastic helper pool for the head node's hot path.
+// Persistent, growable helper pool for the head node's hot path.
 //
 // The dispatch engine used to create and join a pool of threads on *every
 // wave* (mirroring one LLVM hidden-helper thread per in-flight target
@@ -18,10 +18,9 @@
 // structure, never of job-completion timing, so identical waves grow the
 // pool identically and the hotpath gates ("spawn count is wave-count
 // independent", "0 spawns per steady wave") stay exact — a queue-pressure
-// rule would flake on scheduler noise. An above-floor thread that sits
-// idle for `idle_shrink_ms` retires, so a tenant burst's threads are given
-// back once the burst drains. Under-announcing is safe: jobs queue behind
-// the live threads (pool jobs never block on other pool jobs).
+// rule would flake on scheduler noise. A spawned thread lives until the
+// pool is destroyed. Under-announcing is safe: jobs queue behind the live
+// threads (pool jobs never block on other pool jobs).
 //
 // Jobs must not throw — callers capture exceptions into their own state
 // (the wave's first_error, a fetch group's error slots).
@@ -35,25 +34,22 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace ompc::core {
 
 class HelperPool {
  public:
-  /// Fixed-size pool: spawns max(1, threads) workers once and keeps them
-  /// until destruction (floor == ceiling, no shrink). `label_prefix` names
-  /// the threads for log output ("hh0", "xfer3", ...).
+  /// Fixed-size pool: spawns max(1, threads) workers once (floor ==
+  /// ceiling). `label_prefix` names the threads for log output ("hh0",
+  /// "xfer3", ...).
   HelperPool(int threads, std::string label_prefix);
 
-  /// Elastic pool: spawns `min_threads` upfront, grows on demand up to
-  /// `max_threads` (the in-flight bound), retires above-floor threads idle
-  /// for `idle_shrink_ms` (0 = never shrink). `spawn_counter`, when given,
-  /// is incremented on every spawn — the owner's stats block sees mid-run
+  /// Elastic pool: spawns `min_threads` upfront and grows on demand up to
+  /// `max_threads` (the in-flight bound). `spawn_counter`, when given, is
+  /// incremented on every spawn — the owner's stats block sees mid-run
   /// growth without polling.
-  HelperPool(int min_threads, int max_threads, std::int64_t idle_shrink_ms,
-             std::string label_prefix,
+  HelperPool(int min_threads, int max_threads, std::string label_prefix,
              std::atomic<std::int64_t>* spawn_counter = nullptr);
   ~HelperPool();
 
@@ -63,15 +59,14 @@ class HelperPool {
   /// Announces upcoming demand: grows the pool to min(ceiling, target)
   /// live threads. Deterministic — callers pass structural facts (task
   /// count of the wave, fan-out width), so identical work reserves
-  /// identically. Never shrinks; also reaps retired-thread handles.
+  /// identically.
   void reserve(int target);
 
   /// Enqueues a job on the pool. Jobs run in FIFO order across the live
   /// threads (grown via reserve) and must not throw.
   void submit(std::function<void()> job);
 
-  /// Threads currently alive (floor <= n <= ceiling at rest; transiently
-  /// observable mid-grow/mid-retire).
+  /// Threads spawned so far (floor <= n <= ceiling).
   int num_threads() const noexcept;
 
   int max_threads() const noexcept { return max_; }
@@ -87,19 +82,18 @@ class HelperPool {
     return threads_spawned_.load(std::memory_order_relaxed);
   }
 
-  /// Threads retired by the idle-shrink rule.
-  std::int64_t threads_retired() const noexcept {
-    return threads_retired_.load(std::memory_order_relaxed);
-  }
-
-  /// High-water mark of live threads.
+  /// High-water mark of live threads: every spawned one, since none
+  /// retires before the pool is destroyed.
   int peak_threads() const noexcept {
-    return peak_threads_.load(std::memory_order_relaxed);
+    return static_cast<int>(threads_spawned());
   }
 
  private:
   void spawn_locked();
-  void worker_main(std::int64_t slot);
+  int num_threads_locked() const noexcept {
+    return static_cast<int>(threads_.size());
+  }
+  void worker_main();
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
@@ -107,21 +101,11 @@ class HelperPool {
   bool stop_ = false;
   int min_ = 1;
   int max_ = 1;
-  std::int64_t idle_shrink_ms_ = 0;
   std::string label_;
-  int live_ = 0;  ///< spawned minus retired (mutex-guarded)
-  int idle_ = 0;  ///< live threads currently waiting for work
-  std::int64_t next_slot_ = 0;
   std::atomic<std::int64_t> jobs_run_{0};
   std::atomic<std::int64_t> threads_spawned_{0};
-  std::atomic<std::int64_t> threads_retired_{0};
-  std::atomic<int> peak_threads_{0};
   std::atomic<std::int64_t>* spawn_counter_ = nullptr;
-  /// Live thread handles by slot. A retiring thread moves its own handle to
-  /// reap_ (it cannot join itself); the next submit — or the destructor —
-  /// joins the reaped handles.
-  std::unordered_map<std::int64_t, std::thread> threads_;
-  std::vector<std::thread> reap_;
+  std::vector<std::thread> threads_;  ///< mutex-guarded
 };
 
 /// Runs fn(0) inline and fn(1..n-1) as pool jobs, returning only after

@@ -13,18 +13,19 @@ namespace ompc::core {
 // --- ReplicaStore --------------------------------------------------------
 
 Bytes ReplicaStore::encode(Update kind, std::span<const std::byte> metadata,
-                           std::span<const Bytes> prev_waves,
-                           std::span<const Bytes> waves,
+                           const WaveGeneration& prev_waves,
+                           const WaveGeneration& waves, std::size_t first_wave,
                            const SnapshotBlobs& blobs,
                            std::span<const std::uint64_t> blob_ids) {
   ArchiveWriter w;
   w.put_blob(metadata);
   if (kind == Update::Full) {
     w.put(static_cast<std::uint64_t>(prev_waves.size()));
-    for (const Bytes& b : prev_waves) w.put_blob(b);
+    for (const LoggedWave& wave : prev_waves) w.put_blob(wave.blob);
   }
-  w.put(static_cast<std::uint64_t>(waves.size()));
-  for (const Bytes& b : waves) w.put_blob(b);
+  w.put(static_cast<std::uint64_t>(waves.size() - first_wave));
+  for (std::size_t i = first_wave; i < waves.size(); ++i)
+    w.put_blob(waves[i].blob);
   w.put(static_cast<std::uint64_t>(blobs.size()));
   for (const auto& [id, bytes] : blobs) {
     w.put(id);

@@ -39,6 +39,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/heartbeat.hpp"
+#include "core/wave_log.hpp"
 #include "minimpi/mpi.hpp"
 
 namespace ompc::core {
@@ -56,7 +57,7 @@ inline constexpr mpi::Tag kHeadHandoffTag = 10;  ///< result {new head, generati
 class ReplicaStore {
  public:
   /// How an update changes the accumulated wave list (mirrors the head's
-  /// wave_log_ lifecycle; see HeadStateHeader::reset).
+  /// WaveLog lifecycle; see HeadStateHeader::reset).
   enum class Update : std::uint8_t {
     Append = 0,  ///< append the update's waves
     Reset = 1,   ///< checkpoint retaken: current waves become the previous
@@ -72,14 +73,17 @@ class ReplicaStore {
     SnapshotBlobs blobs;           ///< checkpoint bytes the metadata names
   };
 
-  /// Builds one HeadState payload. `prev_waves` travels on Full updates
-  /// only. `blobs` carries the snapshot blobs the shadow does not hold yet;
-  /// `blob_ids` lists every id the new metadata references. Layout:
+  /// Builds one HeadState payload from the wave log's generations: the
+  /// serialized `waves` from index `first_wave` on, and `prev_waves` on
+  /// Full updates only. `blobs` carries the snapshot blobs the shadow does
+  /// not hold yet; `blob_ids` lists every id the new metadata references.
+  /// Layout:
   ///   blob metadata | [Full: u64 n, n × blob] | u64 n, n × blob |
   ///   u64 n, n × {u64 id, blob} | u64 n, n × u64 id
   static Bytes encode(Update kind, std::span<const std::byte> metadata,
-                      std::span<const Bytes> prev_waves,
-                      std::span<const Bytes> waves, const SnapshotBlobs& blobs,
+                      const WaveGeneration& prev_waves,
+                      const WaveGeneration& waves, std::size_t first_wave,
+                      const SnapshotBlobs& blobs,
                       std::span<const std::uint64_t> blob_ids);
 
   /// Ingests one encode() payload. Afterwards the store holds exactly the

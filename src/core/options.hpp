@@ -72,25 +72,6 @@ struct ClusterOptions {
   /// Per-worker threads for second-level parallelism inside kernels.
   int worker_threads = 2;
 
-  /// Ceiling of the head's persistent transfer pool (prepare_args fans the
-  /// buffer fetches of multi-input tasks out to it, replacing per-buffer
-  /// thread spawns). 0 = auto: 16 + 3 * num_workers. The pool is elastic:
-  /// it starts at pool_min_threads and grows on demand up to this bound.
-  int transfer_threads = 0;
-
-  /// Floor of the elastic dispatch/transfer pools: threads kept alive even
-  /// when the pools sit idle. 0 = auto: min(ceiling, 4 + num_workers).
-  /// The ceilings stay what they always were (helper_threads respectively
-  /// transfer_threads/cluster_pool_threads()), so the §7 in-flight-region
-  /// bound is unchanged — only launch cost and idle footprint shrink.
-  int pool_min_threads = 0;
-
-  /// An elastic pool thread that sits idle this long (and is above the
-  /// floor) retires. Long enough that steady per-wave traffic never churns
-  /// threads (bench/micro_hotpath gates 0 spawns per steady wave); 0 keeps
-  /// every spawned thread for the whole launch.
-  std::int64_t pool_idle_shrink_ms = 500;
-
   /// Admission control (multi-tenancy): max waves queued per tenant before
   /// Runtime::submit throws AdmissionError (submit_wait blocks instead).
   /// 0 = unbounded.
@@ -145,9 +126,11 @@ struct ClusterOptions {
 
   /// Waves between buffer checkpoints (paper §5): 1 = snapshot at every
   /// wait_all() boundary, k = every k-th, 0 = fault tolerance disabled (a
-  /// detected failure raises RecoveryError instead of recovering). Larger
-  /// periods cost less in steady state but re-execute more waves on
-  /// failure — bench/ablation_recovery measures the trade.
+  /// detected failure raises RecoveryError instead of recovering). A wave
+  /// that maps a buffer is snapshotted before it runs as well, so a replay
+  /// re-enters the buffer from its entered bytes. Larger periods cost less
+  /// in steady state but re-execute more waves on failure —
+  /// bench/ablation_recovery measures the trade.
   int checkpoint_period = 0;
 
   /// Snapshot placement policy (see CheckpointLocality). Head is the
@@ -183,14 +166,14 @@ struct ClusterOptions {
   int total_workers() const noexcept { return num_workers + spare_workers; }
 
   /// Cluster-scaled head pool size: enough in-flight jobs to saturate
-  /// every worker's executor and transfer pipeline. Used for the TwoStep
-  /// dispatch pool and as the transfer-pool default.
+  /// every worker's executor and transfer pipeline. The TwoStep dispatch
+  /// pool's and the transfer pool's ceiling.
   int cluster_pool_threads() const noexcept { return 16 + 3 * num_workers; }
 
-  /// Resolved elastic-pool floor for a pool capped at `max_threads`.
+  /// Threads a head pool capped at `max_threads` spawns at launch; demand
+  /// grows it from there up to the cap (the §7 in-flight-region bound).
   int pool_floor(int max_threads) const noexcept {
-    const int floor = pool_min_threads > 0 ? pool_min_threads
-                                           : 4 + num_workers;
+    const int floor = 4 + num_workers;
     return floor < max_threads ? floor : max_threads;
   }
 };

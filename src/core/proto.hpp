@@ -170,7 +170,7 @@ struct RmaPutHeader {
 /// HeadState: `size` bytes of serialized head state follow as the event
 /// payload. `reset` marks a boundary where the checkpoint was retaken: the
 /// shadow moves its accumulated waves to the previous-generation slot and
-/// starts fresh (mirroring wave_log_.clear() on the head).
+/// starts fresh (mirroring WaveLog::cut() on the head).
 struct HeadStateHeader {
   std::uint64_t size = 0;
   std::uint64_t generation = 0;

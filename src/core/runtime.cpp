@@ -19,7 +19,6 @@ Runtime::Runtime(const ClusterOptions& opts, EventSystem& events,
     : opts_(opts),
       events_(&events),
       dm_(events, opts),
-      graph_(fresh_graph()),
       ckpt_(&events, opts.checkpoint_locality),
       bus_(bus) {
   // Scheduler processors map onto this live-worker table; recovery shrinks
@@ -35,27 +34,24 @@ Runtime::Runtime(const ClusterOptions& opts, EventSystem& events,
   // pool scales with the *cluster* (enough to saturate every worker's
   // executor and transfer pipeline) instead of the head's thread count.
   // Elastic: the bound is the pool's *ceiling*; only a small floor spawns
-  // at launch, demand grows it, idle growth retires (ROADMAP "elastic pool
-  // sizing" — a 2-worker test cluster no longer pays for 48 threads).
+  // at launch and demand grows it (a 2-worker test cluster no longer pays
+  // for 48 threads).
   const int helpers = std::max(1, opts_.async_mode == AsyncMode::HelperThreads
                                       ? opts_.helper_threads
                                       : opts_.cluster_pool_threads());
   helpers_ = std::make_unique<HelperPool>(opts_.pool_floor(helpers), helpers,
-                                          opts_.pool_idle_shrink_ms, "hh");
+                                          "hh");
   stats_.threads_spawned = helpers_->threads_spawned();
 }
 
 Runtime::~Runtime() = default;
 
-ClusterGraph Runtime::fresh_graph() const {
-  // Edge weights resolve dependence addresses to buffer sizes through the
-  // data manager's registry.
-  return ClusterGraph(
-      [this](const void* addr) { return dm_.buffer_size(addr); });
-}
+// --- WaveRecorder ---------------------------------------------------------
 
-void Runtime::enter_data(void* host, std::size_t size, bool copy) {
-  dm_.register_buffer(host, size);
+void WaveRecorder::enter_data(void* host, std::size_t size, bool copy) {
+  OMPC_CHECK_MSG(mapped_.emplace(host, Mapping{size}).second,
+                 "buffer " << host << " is already mapped (exit it first)");
+  weights_.reset();
   ClusterTask t;
   t.type = TaskType::DataEnter;
   t.buffer = host;
@@ -64,12 +60,17 @@ void Runtime::enter_data(void* host, std::size_t size, bool copy) {
   // Listing 1: enter data carries depend(out: *A) — it is the first writer.
   t.deps = {omp::out(host)};
   graph_.add_task(std::move(t));
-  ++stats_.data_tasks;
 }
 
-void Runtime::exit_data(void* host, bool copy) {
-  OMPC_CHECK_MSG(dm_.is_registered(host),
+void WaveRecorder::exit_data(void* host, bool copy) {
+  const auto it = mapped_.find(host);
+  OMPC_CHECK_MSG(it != mapped_.end(),
                  "exit_data for buffer " << host << " that was never entered");
+  OMPC_CHECK_MSG(!it->second.exiting, "exit_data for buffer "
+                                          << host
+                                          << " recorded twice in one wave");
+  it->second.exiting = true;
+  exited_.push_back(host);
   ClusterTask t;
   t.type = TaskType::DataExit;
   t.buffer = host;
@@ -77,11 +78,10 @@ void Runtime::exit_data(void* host, bool copy) {
   // inout: runs after the last writer and all readers of the buffer.
   t.deps = {omp::inout(host)};
   graph_.add_task(std::move(t));
-  ++stats_.data_tasks;
 }
 
-int Runtime::target(omp::DepList deps, offload::KernelId kernel, Args args,
-                    double cost_s) {
+int WaveRecorder::target(omp::DepList deps, offload::KernelId kernel,
+                         Args args, double cost_s) {
   // §4.3's restriction: every buffer a target uses must appear in its
   // dependence list — that is the only way the DM can infer placement and
   // write intent. Enforced here instead of failing mysteriously later.
@@ -90,7 +90,7 @@ int Runtime::target(omp::DepList deps, offload::KernelId kernel, Args args,
                                     [&](const omp::Dep& d) { return d.addr == b; });
     OMPC_CHECK_MSG(listed, "target buffer argument " << b
                                                      << " missing from depend list");
-    OMPC_CHECK_MSG(dm_.is_registered(b),
+    OMPC_CHECK_MSG(mapped_.count(b) != 0,
                    "target buffer argument " << b << " was never entered");
   }
   ClusterTask t;
@@ -100,12 +100,10 @@ int Runtime::target(omp::DepList deps, offload::KernelId kernel, Args args,
   t.scalars = args.take_scalars();
   t.deps = std::move(deps);
   t.cost_s = cost_s;
-  const int id = graph_.add_task(std::move(t));
-  ++stats_.target_tasks;
-  return id;
+  return graph_.add_task(std::move(t));
 }
 
-int Runtime::host_task(std::function<void()> fn, omp::DepList deps) {
+int WaveRecorder::host_task(std::function<void()> fn, omp::DepList deps) {
   ClusterTask t;
   t.type = TaskType::Host;
   // Interned so the closure survives head replication: the handle travels
@@ -114,9 +112,26 @@ int Runtime::host_task(std::function<void()> fn, omp::DepList deps) {
   t.host_fn_handle = HostFnRegistry::instance().intern(fn);
   t.host_fn = std::move(fn);
   t.deps = std::move(deps);
-  const int id = graph_.add_task(std::move(t));
-  ++stats_.host_tasks;
-  return id;
+  return graph_.add_task(std::move(t));
+}
+
+void WaveRecorder::hand_over(const std::function<void(ClusterGraph&)>& sink) {
+  if (graph_.empty()) return;
+  // The wave may still be scheduled or replayed after later waves changed
+  // the mapped set, so it resolves through an immutable copy; steady waves
+  // (no enter or exit since the last one) share it.
+  if (!weights_) weights_ = std::make_shared<const MappedSet>(mapped_);
+  graph_.set_buffer_size_fn(
+      [weights = weights_](const void* addr) -> std::size_t {
+        const auto it = weights->find(addr);
+        return it == weights->end() ? 0 : it->second.bytes;
+      });
+  sink(graph_);
+  graph_ = ClusterGraph();
+  if (exited_.empty()) return;
+  for (const void* host : exited_) mapped_.erase(host);
+  exited_.clear();
+  weights_.reset();
 }
 
 void Runtime::execute_task(const ClusterTask& t, int proc, bool prefetch) {
@@ -125,11 +140,9 @@ void Runtime::execute_task(const ClusterTask& t, int proc, bool prefetch) {
   };
   switch (t.type) {
     case TaskType::DataEnter:
-      // Session-recorded enters defer registration to execution time (the
-      // submitting thread must not mutate the registry while another
-      // tenant's wave is in flight); legacy and replayed enters find the
-      // buffer already registered and skip. The task carries its mapping
-      // size precisely for this moment.
+      // execute_wave registered the buffer; a wave replayed after a head
+      // failover may enter one the adopted registry never saw, which is why
+      // the task carries its mapping size.
       if (!dm_.is_registered(t.buffer))
         dm_.register_buffer(const_cast<void*>(t.buffer), t.buffer_bytes);
       dm_.enter_to_worker(rank_of_proc(proc), t.buffer, t.copy);
@@ -138,10 +151,11 @@ void Runtime::execute_task(const ClusterTask& t, int proc, bool prefetch) {
       dm_.exit_to_head(const_cast<void*>(t.buffer), t.copy);
       return;
     case TaskType::Host:
+      // A host task runs on the head copies: it reads the freshest copy of
+      // every dependence, and each one it writes leaves the head the only
+      // valid copy, dirty for the next capture.
+      dm_.refresh_head_deps(t.deps);
       t.host_fn();
-      // A host task's out/inout deps were written in place on the head;
-      // without this the incremental checkpointer would reuse a stale
-      // entry for them and recovery would roll the write back silently.
       dm_.after_host_write(t.deps);
       return;
     case TaskType::Target: {
@@ -451,48 +465,45 @@ void Runtime::recover_from(mpi::Rank dead) {
   }
 }
 
-void Runtime::run_with_recovery(const ClusterGraph* current, bool replaying) {
-  // `current` being the last wave_log_ entry (the wave being executed for
-  // the first time) must not be double-run by the replay sweep; a null
-  // current replays the WHOLE log — the between-waves repair path, where
-  // rollback regressed buffers that completed waves had already written.
-  bool current_is_logged =
-      current != nullptr && !wave_log_.empty() && current == &wave_log_.back();
+void Runtime::run_with_recovery(const ClusterGraph* unlogged, bool replaying) {
   // A Head-locality capture fetches every buffer the wave dirtied, so when
   // the next boundary captures, the wave's first run starts each fetch at
   // the buffer's last write. Never in a replay: the replayed waves before
-  // `current` have more writes ahead of them before any capture.
+  // the current one have more writes ahead of them before any capture.
   const bool prefetch =
-      current != nullptr && opts_.checkpoint_period > 0 &&
+      opts_.checkpoint_period > 0 &&
       opts_.checkpoint_locality == CheckpointLocality::Head &&
       (wave_index_ + 1) % opts_.checkpoint_period == 0;
+  const auto count_replay = [this](const ClusterGraph& g) {
+    stats_.replayed_tasks += static_cast<std::int64_t>(g.size());
+    note_replay(g.tenant(), static_cast<std::int64_t>(g.size()));
+  };
   for (;;) {
+    mpi::Rank dead = -1;
     try {
       // A failure reported while the head was idle between waves arms
       // failure_pending_ without any event throwing; surface it here so the
       // wave never starts against a schedule containing the corpse.
       if (failure_pending_.load(std::memory_order_acquire))
         throw WorkerDiedError(-1);
+      // Looked up every round: a failover rebuilds the log and a degraded
+      // restore splices the prior period ahead of it.
+      const LoggedWave* logged = log_.find(wave_index_);
       if (replaying) {
         // Re-execute the waves lost since the checkpoint. Host tasks in
         // replayed waves run again — §5's re-execution semantics.
-        const std::size_t upto =
-            wave_log_.size() - (current_is_logged ? 1 : 0);
-        for (std::size_t i = 0; i < upto; ++i) {
-          run_wave(wave_log_[i], false);
-          stats_.replayed_tasks +=
-              static_cast<std::int64_t>(wave_log_[i].size());
-          note_replay(wave_log_[i].tenant(),
-                      static_cast<std::int64_t>(wave_log_[i].size()));
+        for (const LoggedWave& w : log_.current()) {
+          if (&w == logged) continue;
+          run_wave(w.graph, false);
+          count_replay(w.graph);
         }
       }
+      const ClusterGraph* current =
+          unlogged != nullptr ? unlogged
+                              : (logged != nullptr ? &logged->graph : nullptr);
       if (current != nullptr) {
         run_wave(*current, prefetch && !replaying);
-        if (replaying) {
-          stats_.replayed_tasks += static_cast<std::int64_t>(current->size());
-          note_replay(current->tenant(),
-                      static_cast<std::int64_t>(current->size()));
-        }
+        if (replaying) count_replay(*current);
       }
       // The wave is done; its HeadState update must be acknowledged before
       // wait_all() returns. A head that died under it throws into the
@@ -521,30 +532,13 @@ void Runtime::run_with_recovery(const ClusterGraph* current, bool replaying) {
     } catch (const mpi::RankKilledError& e) {
       // A raw transport-level death that escaped the event layer's
       // translation (rare: a request completed exceptionally on a path
-      // with no origin event). Same recovery as WorkerDiedError.
-      const std::uint64_t epoch_before = head_epoch_;
-      recover_from(e.rank());
-      replaying = true;
-      if (current != nullptr &&
-          (current_is_logged || head_epoch_ != epoch_before)) {
-        current = wave_log_.empty() ? nullptr : &wave_log_.back();
-        current_is_logged = current != nullptr;
-      }
+      // with no origin event).
+      dead = e.rank();
     } catch (const WorkerDiedError& e) {
-      const std::uint64_t epoch_before = head_epoch_;
-      recover_from(e.rank());  // RecoveryError escapes when impossible
-      replaying = true;
-      // Recovery can rebuild or grow the wave log underneath `current`:
-      // a failover re-creates it from the replica blobs, and a degraded
-      // restore prepends the prior generation's waves (both reallocate the
-      // vector). Re-home the pointer at the log's new tail — the same
-      // wave, just at its new address.
-      if (current != nullptr &&
-          (current_is_logged || head_epoch_ != epoch_before)) {
-        current = wave_log_.empty() ? nullptr : &wave_log_.back();
-        current_is_logged = current != nullptr;
-      }
+      dead = e.rank();
     }
+    recover_from(dead);  // RecoveryError escapes when impossible
+    replaying = true;
   }
 }
 
@@ -552,7 +546,7 @@ void Runtime::wait_all() {
   // Membership changes commit at wave boundaries — the cluster is quiescent
   // here, so buffer migration cannot race in-flight tasks.
   process_membership_requests();
-  if (graph_.empty()) {
+  if (!has_recorded()) {
     // A failure can land in the instants after the last wave completed; the
     // cluster state must be repaired (or the condition surfaced as
     // RecoveryError) before shutdown deletes buffers on a corpse. Repair =
@@ -562,19 +556,39 @@ void Runtime::wait_all() {
       run_with_recovery(nullptr, false);
     return;
   }
-  ClusterGraph wave = std::move(graph_);
-  graph_ = fresh_graph();
+  ClusterGraph wave;
+  hand_over([&wave](ClusterGraph& recorded) { wave = std::move(recorded); });
   execute_wave(std::move(wave));
 }
 
 void Runtime::execute_wave(ClusterGraph&& wave) {
+  // Counted once per wave, before the stats block ships with the HeadState
+  // update (replays run through run_wave and do not count again). Enters
+  // register here, before the boundary capture, so the checkpoint holds
+  // every buffer the wave maps.
+  bool maps_buffers = false;
+  for (const ClusterTask& t : wave.tasks()) {
+    switch (t.type) {
+      case TaskType::Target: ++stats_.target_tasks; break;
+      case TaskType::Host: ++stats_.host_tasks; break;
+      case TaskType::DataEnter:
+        dm_.register_buffer(const_cast<void*>(t.buffer), t.buffer_bytes);
+        maps_buffers = true;
+        ++stats_.data_tasks;
+        break;
+      case TaskType::DataExit: ++stats_.data_tasks; break;
+    }
+  }
   wave.build_edges();
 
   const bool ft = opts_.checkpoint_period > 0;
   bool replaying = false;
   bool boundary_reset = false;
   if (ft) {
-    if (wave_index_ % opts_.checkpoint_period == 0) {
+    // A wave that maps a buffer is a boundary too: a replay from an earlier
+    // checkpoint would re-enter the buffer from whatever an exit or a host
+    // task has written into its host copy since.
+    if (maps_buffers || wave_index_ % opts_.checkpoint_period == 0) {
       const std::size_t retired_before = ckpt_.num_retired();
       try {
         ckpt_.capture(dm_, wave_index_, live_workers_);
@@ -587,13 +601,7 @@ void Runtime::execute_wave(ClusterGraph&& wave) {
         // a degraded restore replays from the PRIOR boundary, and the
         // checkpoint store keeps that generation's snapshots until the
         // next capture commits).
-        prev_wave_log_ = std::move(wave_log_);
-        prev_wave_blobs_ = std::move(wave_blobs_);
-        prev_wave_seqs_ = std::move(wave_seqs_);
-        wave_log_.clear();
-        wave_blobs_.clear();
-        wave_seqs_.clear();
-        replicated_waves_ = 0;
+        log_.cut();
         boundary_reset = true;
       } catch (const WorkerDiedError& e) {
         // A worker died mid-capture. The previous snapshot is intact
@@ -603,22 +611,13 @@ void Runtime::execute_wave(ClusterGraph&& wave) {
         recover_from(e.rank());
         replaying = true;
       }
-      const CheckpointStats& cs = ckpt_.stats();
-      stats_.checkpoints = cs.captures;
-      stats_.checkpoint_bytes = cs.bytes_captured;
-      stats_.checkpoint_dirty_bytes = cs.dirty_bytes;
-      stats_.checkpoint_head_bytes = cs.head_bytes;
-      stats_.snapshot_replicas = cs.snapshot_replicas;
-      stats_.checkpoint_ns = cs.capture_ns;
     }
     // Log the wave for replay (moved, not copied — it is executed from the
     // log); kept until the next checkpoint makes the waves since the
     // previous one unreachable by recovery. The serialized blob carries the
     // wave's tenant, so the log — and any replica adopted after a head
     // death — stays tenant-scoped.
-    wave_log_.push_back(std::move(wave));
-    wave_blobs_.push_back(serialize_graph(wave_log_.back()));
-    wave_seqs_.push_back(wave_index_);
+    log_.append(std::move(wave), wave_index_);
     // Pool/tenant aggregates ride in the replicated stats block; fold the
     // latest counters in before the state ships.
     refresh_derived_stats();
@@ -631,7 +630,7 @@ void Runtime::execute_wave(ClusterGraph&& wave) {
     // update to land first.
     replicate_head_state(boundary_reset);
     try {
-      run_with_recovery(&wave_log_.back(), replaying);
+      run_with_recovery(nullptr, replaying);
     } catch (...) {
       // An unrecoverable wave leaves no update in flight behind it; whether
       // the shadow applied it is unknown, so the next one is Full.
@@ -825,15 +824,6 @@ void Runtime::serve_tenants() {
         continue;
       }
 
-      // Task-mix accounting happens here (the session recorded off the
-      // head thread, so the recording API's counters never saw the tasks).
-      for (const ClusterTask& t : wave.graph.tasks()) {
-        switch (t.type) {
-          case TaskType::Target: ++stats_.target_tasks; break;
-          case TaskType::Host: ++stats_.host_tasks; break;
-          default: ++stats_.data_tasks; break;
-        }
-      }
       ++stats_.tenant_waves;
 
       const std::int64_t start_ns = now_ns();
@@ -923,8 +913,6 @@ void Runtime::refresh_derived_stats() {
   stats_.threads_spawned = helpers_->threads_spawned();
   const HelperPool& xfer = dm_.transfer_pool();
   stats_.pool_threads_peak = helpers_->peak_threads() + xfer.peak_threads();
-  stats_.pool_threads_retired =
-      helpers_->threads_retired() + xfer.threads_retired();
   std::lock_guard<std::mutex> lock(tenants_mutex_);
   stats_.tenants = static_cast<std::int64_t>(tenants_.size());
   std::int64_t rejections = 0;
@@ -938,120 +926,23 @@ void Runtime::refresh_derived_stats() {
 // --- TenantSession --------------------------------------------------------
 
 TenantSession::TenantSession(Runtime& rt, TenantId tenant)
-    : rt_(&rt), tenant_(tenant), graph_(fresh()) {
+    : rt_(&rt), tenant_(tenant) {
   rt_->open_sessions_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 TenantSession::~TenantSession() { close(); }
 
-ClusterGraph TenantSession::fresh() const {
-  // The resolver is installed at submit time (a snapshot of sizes_); until
-  // then the graph only records, so any lookup would be a logic error.
-  return ClusterGraph([](const void*) -> std::size_t {
-    OMPC_CHECK_MSG(false, "buffer-size lookup before session submit");
-    return 0;
-  });
-}
-
-void TenantSession::enter_data(void* host, std::size_t size, bool copy) {
-  OMPC_CHECK_MSG(!closed_, "enter_data on a closed tenant session");
-  OMPC_CHECK_MSG(sizes_.emplace(host, size).second,
-                 "buffer " << host << " entered twice in tenant session "
-                           << tenant_);
-  ClusterTask t;
-  t.type = TaskType::DataEnter;
-  t.buffer = host;
-  t.buffer_bytes = size;
-  t.copy = copy;
-  t.deps = {omp::out(host)};
-  graph_.add_task(std::move(t));
-}
-
-void TenantSession::exit_data(void* host, bool copy) {
-  OMPC_CHECK_MSG(!closed_, "exit_data on a closed tenant session");
-  OMPC_CHECK_MSG(sizes_.count(host) != 0,
-                 "exit_data for buffer " << host
-                                         << " never entered in this session");
-  OMPC_CHECK_MSG(std::find(exited_.begin(), exited_.end(), host) ==
-                     exited_.end(),
-                 "exit_data for buffer " << host << " recorded twice");
-  // Deferred removal: the exit wave's own dependences resolve this buffer,
-  // so it leaves sizes_ only when the wave submits.
-  exited_.push_back(host);
-  ClusterTask t;
-  t.type = TaskType::DataExit;
-  t.buffer = host;
-  t.copy = copy;
-  t.deps = {omp::inout(host)};
-  graph_.add_task(std::move(t));
-}
-
-int TenantSession::target(omp::DepList deps, offload::KernelId kernel,
-                          Args args, double cost_s) {
-  OMPC_CHECK_MSG(!closed_, "target on a closed tenant session");
-  for (const void* b : args.buffers()) {
-    const bool listed =
-        std::any_of(deps.begin(), deps.end(),
-                    [&](const omp::Dep& d) { return d.addr == b; });
-    OMPC_CHECK_MSG(listed, "target buffer argument "
-                               << b << " missing from depend list");
-    OMPC_CHECK_MSG(sizes_.count(b) != 0,
-                   "target buffer argument "
-                       << b << " was never entered in this session");
-  }
-  ClusterTask t;
-  t.type = TaskType::Target;
-  t.kernel = kernel;
-  t.buffer_args = args.buffers();
-  t.scalars = args.take_scalars();
-  t.deps = std::move(deps);
-  t.cost_s = cost_s;
-  return graph_.add_task(std::move(t));
-}
-
-int TenantSession::host_task(std::function<void()> fn, omp::DepList deps) {
-  OMPC_CHECK_MSG(!closed_, "host_task on a closed tenant session");
-  ClusterTask t;
-  t.type = TaskType::Host;
-  t.host_fn_handle = HostFnRegistry::instance().intern(fn);
-  t.host_fn = std::move(fn);
-  t.deps = std::move(deps);
-  return graph_.add_task(std::move(t));
-}
-
 void TenantSession::submit_impl(bool blocking) {
   OMPC_CHECK_MSG(!closed_, "submit on a closed tenant session");
-  if (graph_.empty()) return;
-  // The head thread hashes/builds the wave while this thread keeps
-  // recording the next one: the resolver must not read live session state.
-  // A snapshot closure makes the wave self-contained.
-  auto sizes = std::make_shared<const std::unordered_map<const void*,
-                                                         std::size_t>>(sizes_);
-  graph_.set_buffer_size_fn([sizes](const void* addr) -> std::size_t {
-    auto it = sizes->find(addr);
-    OMPC_CHECK_MSG(it != sizes->end(),
-                   "dependence on buffer " << addr
-                                           << " not entered in this session");
-    return it->second;
-  });
-  ClusterGraph wave = std::move(graph_);
-  graph_ = fresh();
-  try {
+  // Admission moves the wave only once it accepts it: a refused wave stays
+  // recorded for a retry (or a fall back to submit_wait).
+  hand_over([this, blocking](ClusterGraph& wave) {
     if (blocking) {
       rt_->submit_wait(std::move(wave), tenant_);
     } else {
       rt_->submit(std::move(wave), tenant_);
     }
-  } catch (...) {
-    // Admission refused the wave un-consumed: keep it recorded so the
-    // caller can retry (or fall back to submit_wait).
-    graph_ = std::move(wave);
-    throw;
-  }
-  // The wave (and its snapshot) is in flight: recorded exits now leave the
-  // session registry, so the buffers can be re-entered in a later wave.
-  for (const void* host : exited_) sizes_.erase(host);
-  exited_.clear();
+  });
 }
 
 void TenantSession::submit() { submit_impl(false); }
@@ -1119,15 +1010,14 @@ void Runtime::replicate_head_state(bool boundary_reset) {
                                 shadow_blob_ids_.end(), blob.first);
     });
   }
-  const std::size_t from =
-      kind == ReplicaStore::Update::Append ? replicated_waves_ : 0;
   // Shared, not borrowed: the update is still on the wire while the wave
   // runs, and if THIS rank dies meanwhile, nothing the head frees may be
   // bytes the in-flight envelope still references — the shadow would parse
   // garbage at the exact moment its replica matters most.
   const auto payload = std::make_shared<const Bytes>(ReplicaStore::encode(
-      kind, meta_blob, prev_wave_blobs_,
-      std::span<const Bytes>(wave_blobs_).subspan(from), missing, ids));
+      kind, meta_blob, log_.previous(), log_.current(),
+      kind == ReplicaStore::Update::Append ? log_.shipped() : 0, missing,
+      ids));
 
   HeadStateHeader h;
   h.size = payload->size();
@@ -1140,7 +1030,7 @@ void Runtime::replicate_head_state(bool boundary_reset) {
         events_->start(shadow, EventKind::HeadState, hw.take(),
                        mpi::Payload::share(payload, payload->data(),
                                            payload->size())),
-        shadow, std::move(ids), wave_blobs_.size(),
+        shadow, std::move(ids), log_.current().size(),
         static_cast<std::int64_t>(payload->size()), ckpt_.num_retired()};
   } catch (const WorkerDiedError&) {
     // Shadow already gone: skip this round (see await_replication).
@@ -1166,7 +1056,7 @@ void Runtime::await_replication() {
   }
   shadow_rank_ = update.shadow;
   shadow_blob_ids_ = std::move(update.blob_ids);
-  replicated_waves_ = update.waves;
+  log_.set_shipped(update.waves);
   ++stats_.replication_updates;
   stats_.replication_bytes += update.bytes;
   // The replica a promoted head would adopt now names only what the update
@@ -1267,8 +1157,7 @@ void Runtime::failover() {
 }
 
 void Runtime::adopt_replica() {
-  const ReplicaStore::Snapshot snap =
-      bus_->node(head_rank_).replica->snapshot();
+  ReplicaStore::Snapshot snap = bus_->node(head_rank_).replica->snapshot();
   OMPC_CHECK_MSG(snap.generation > 0 && !snap.metadata.empty(),
                  "elected head holds an empty replica");
 
@@ -1304,94 +1193,28 @@ void Runtime::adopt_replica() {
   ckpt_.adopt_state(std::span<const std::byte>(ck_blob.data(), ck_blob.size()),
                     snap.blobs);
 
-  // Wave logs: the replica's blobs plus the local tail — this control
-  // thread is the surviving *client*, and waves it recorded that never
-  // reached the shadow (a replication round lost with the head) are
-  // resubmitted from its own cache, exactly like a client re-issuing
-  // unacknowledged requests. The merge aligns BY WAVE NUMBER, not by list
-  // position: the replica's first wave is the one recorded right after the
-  // adopted checkpoint's boundary (`ckpt_.wave()`), while the local lists
-  // may have been reset at a later boundary the replica never learned of —
-  // same lengths, one boundary apart, and a position splice would silently
-  // drop the wave the client is still waiting on.
-  const std::int64_t base = std::max<std::int64_t>(ckpt_.wave(), 0);
-  std::vector<Bytes> blobs = snap.waves;
-  std::int64_t next_seq = base + static_cast<std::int64_t>(blobs.size());
-  std::int64_t newest_local = -1;
-  const auto take_local = [&](std::int64_t seq) -> Bytes* {
-    for (std::size_t i = 0; i < wave_seqs_.size(); ++i)
-      if (wave_seqs_[i] == seq) return &wave_blobs_[i];
-    for (std::size_t i = 0; i < prev_wave_seqs_.size(); ++i)
-      if (prev_wave_seqs_[i] == seq) return &prev_wave_blobs_[i];
-    return nullptr;
-  };
-  for (const std::int64_t s : wave_seqs_) newest_local = std::max(newest_local, s);
-  for (const std::int64_t s : prev_wave_seqs_) newest_local = std::max(newest_local, s);
-  while (Bytes* b = take_local(next_seq)) {
-    blobs.push_back(std::move(*b));
-    ++next_seq;
-  }
-  if (newest_local >= next_seq)
-    throw RecoveryError(
-        "head failover cannot reconstruct wave " + std::to_string(next_seq) +
-        ": the replica ends before it and the client cache holds only waves "
-        "up to " + std::to_string(newest_local) + " with a gap between");
-  // The previous-period log belongs to the ADOPTED checkpoint's prior
-  // generation; local prev entries newer than that were promoted into the
-  // current log above.
-  std::vector<Bytes> prev_blobs = snap.prev_waves;
-
-  const auto buffer_size = [this](const void* addr) -> std::size_t {
-    // A buffer a replayed wave exits may not be in the adopted registry
-    // yet (restore re-registers it); its edge weight defaults harmlessly.
-    return dm_.is_registered(addr) ? dm_.buffer_size(addr) : 0;
-  };
-  wave_log_.clear();
-  for (const Bytes& b : blobs)
-    wave_log_.push_back(deserialize_graph(
-        std::span<const std::byte>(b.data(), b.size()), buffer_size));
-  wave_blobs_ = std::move(blobs);
-  prev_wave_log_.clear();
-  for (const Bytes& b : prev_blobs)
-    prev_wave_log_.push_back(deserialize_graph(
-        std::span<const std::byte>(b.data(), b.size()), buffer_size));
-  prev_wave_blobs_ = std::move(prev_blobs);
-
-  wave_seqs_.clear();
-  for (std::int64_t s = base; s < next_seq; ++s) wave_seqs_.push_back(s);
-  prev_wave_seqs_.clear();
-  for (std::int64_t s = base - static_cast<std::int64_t>(prev_wave_blobs_.size());
-       s < base; ++s)
-    prev_wave_seqs_.push_back(s);
+  // The replica's wave log, completed by wave number from this control
+  // thread's own (WaveLog::adopt). A buffer a replayed wave exits may not
+  // be in the adopted registry yet (restore re-registers it); its edge
+  // weight defaults harmlessly to 0.
+  log_.adopt(std::move(snap.prev_waves), std::move(snap.waves),
+             std::max<std::int64_t>(ckpt_.wave(), 0),
+             [this](const void* addr) { return dm_.buffer_size(addr); });
 
   // Replication continues from the adopted generation (monotonic across
   // handoffs — the election invariant depends on it) to a fresh shadow.
   replica_generation_ = snap.generation;
   shadow_rank_ = -1;
-  replicated_waves_ = 0;
 }
 
 void Runtime::absorb_degraded_restore() {
   if (!ckpt_.last_restore_degraded()) return;
-  // The restore fell back to the PRIOR checkpoint generation: the waves of
-  // the previous period must replay too. Splice them ahead of the current
-  // period's log (callers re-home any pointer into the vector).
-  wave_log_.insert(wave_log_.begin(),
-                   std::make_move_iterator(prev_wave_log_.begin()),
-                   std::make_move_iterator(prev_wave_log_.end()));
-  wave_blobs_.insert(wave_blobs_.begin(),
-                     std::make_move_iterator(prev_wave_blobs_.begin()),
-                     std::make_move_iterator(prev_wave_blobs_.end()));
-  wave_seqs_.insert(wave_seqs_.begin(), prev_wave_seqs_.begin(),
-                    prev_wave_seqs_.end());
-  prev_wave_log_.clear();
-  prev_wave_blobs_.clear();
-  prev_wave_seqs_.clear();
+  log_.splice_previous();
   // The spliced log is one period again; force a Full resync so the shadow
   // sees the same shape.
   shadow_rank_ = -1;
   OMPC_LOG_WARN("recovery: degraded restore — replaying "
-                << wave_log_.size() << " waves from the prior boundary");
+                << log_.current().size() << " waves from the prior boundary");
 }
 
 void Runtime::trim_worker_heaps() {
@@ -1673,7 +1496,7 @@ RuntimeStats launch(const ClusterOptions& opts,
           }
         });
       }
-      stats.startup_ns = startup.elapsed_ns();
+      const std::int64_t startup_ns = startup.elapsed_ns();
 
       // Any head-side failure must still shut the workers down, or they
       // would wait for events forever and the join below would hang.
@@ -1724,47 +1547,16 @@ RuntimeStats launch(const ClusterOptions& opts,
         for (mpi::Rank r = 1; r < static_cast<mpi::Rank>(opts.ranks()); ++r)
           if (!ctx.universe().is_dead(r)) ctx.universe().kill_rank(r, 0);
       }
-      stats.shutdown_ns = shutdown.elapsed_ns();
+      const std::int64_t shutdown_ns = shutdown.elapsed_ns();
       if (error) std::rethrow_exception(error);
       add_event_totals(events);
 
-      // Merge head-side counters.
+      // The head's counters, overlaid with what launch() measures itself
+      // and what the head's components count on their own.
       rt.refresh_derived_stats();
-      RuntimeStats& rs = rt.stats();
-      stats.schedule_ns = rs.schedule_ns;
-      stats.waves = rs.waves;
-      stats.target_tasks = rs.target_tasks;
-      stats.data_tasks = rs.data_tasks;
-      stats.host_tasks = rs.host_tasks;
-      stats.makespan_estimate_s = rs.makespan_estimate_s;
-      // Checkpoint counters come straight from the store: drops issued at
-      // late boundaries and restores update it after the last wait_all
-      // refresh.
-      const CheckpointStats& cks = rt.checkpoints().stats();
-      stats.checkpoints = cks.captures;
-      stats.checkpoint_bytes = cks.bytes_captured;
-      stats.checkpoint_dirty_bytes = cks.dirty_bytes;
-      stats.checkpoint_head_bytes = cks.head_bytes;
-      stats.snapshot_replicas = cks.snapshot_replicas;
-      stats.checkpoint_ns = cks.capture_ns;
-      stats.schedule_cache_hits = rs.schedule_cache_hits;
-      stats.channels_armed = rs.channels_armed;
-      stats.recovery_latency_ns = rs.recovery_latency_ns;
-      stats.recoveries = rs.recoveries;
-      stats.workers_lost = rs.workers_lost;
-      stats.buffers_lost = rs.buffers_lost;
-      stats.replayed_tasks = rs.replayed_tasks;
-      stats.recovery_ns = rs.recovery_ns;
-      stats.failovers = rs.failovers;
-      stats.replication_updates = rs.replication_updates;
-      stats.replication_bytes = rs.replication_bytes;
-      stats.workers_joined = rs.workers_joined;
-      stats.workers_retired = rs.workers_retired;
-      stats.tenants = rs.tenants;
-      stats.tenant_waves = rs.tenant_waves;
-      stats.admission_rejections = rs.admission_rejections;
-      stats.pool_threads_peak = rs.pool_threads_peak;
-      stats.pool_threads_retired = rs.pool_threads_retired;
+      stats = rt.stats();
+      stats.startup_ns = startup_ns;
+      stats.shutdown_ns = shutdown_ns;
       stats.events_originated = rt.events().stats().originated.load();
       const DataManagerStats& ds = rt.data_manager().stats();
       stats.submits = ds.submits.load();
@@ -1772,7 +1564,14 @@ RuntimeStats launch(const ClusterOptions& opts,
       stats.exchanges = ds.exchanges.load();
       stats.bytes_moved = ds.bytes_moved.load();
       stats.persistent_reuses = ds.persistent_reuses.load();
-      stats.threads_spawned = rs.threads_spawned + ds.threads_spawned.load();
+      stats.threads_spawned += ds.threads_spawned.load();
+      const CheckpointStats& cks = rt.checkpoints().stats();
+      stats.checkpoints = cks.captures;
+      stats.checkpoint_bytes = cks.bytes_captured;
+      stats.checkpoint_dirty_bytes = cks.dirty_bytes;
+      stats.checkpoint_head_bytes = cks.head_bytes;
+      stats.snapshot_replicas = cks.snapshot_replicas;
+      stats.checkpoint_ns = cks.capture_ns;
     } else {
       // --- worker node ---
       // Universe-aware heap: every device block doubles as an RMA window,

@@ -37,6 +37,7 @@
 #include "core/helper_pool.hpp"
 #include "core/options.hpp"
 #include "core/tenant.hpp"
+#include "core/wave_log.hpp"
 
 namespace ompc::core {
 
@@ -126,7 +127,6 @@ struct RuntimeStats {
   std::int64_t tenant_waves = 0;          ///< waves served through them
   std::int64_t admission_rejections = 0;  ///< AdmissionError throws
   std::int64_t pool_threads_peak = 0;     ///< dispatch+transfer high water
-  std::int64_t pool_threads_retired = 0;  ///< idle-shrink retirements
 };
 
 /// Builder for a target region's positional arguments: device buffers
@@ -152,9 +152,67 @@ class Args {
   ArchiveWriter scalars_;
 };
 
+/// The recording surface (§4.4: the control thread records tasks, the
+/// implicit barrier executes them). One per submission stream: Runtime
+/// records tenant 0 through one, and every TenantSession is one. It keeps
+/// the buffers its stream mapped, checks §4.3's rules against them as each
+/// task is recorded, and resolves the recorded wave's edge weights from
+/// them, so recording never touches the Data Manager (execute_wave
+/// registers a wave's enters when it runs the wave). Confined to one
+/// thread: it takes no lock, and recording a target allocates nothing
+/// beyond the task itself.
+class WaveRecorder {
+ public:
+  /// `target enter data nowait map(to:)` (copy=false: map(alloc:)).
+  /// The buffer must not be mapped already.
+  void enter_data(void* host, std::size_t size, bool copy = true);
+
+  /// `target exit data nowait map(from:)` (copy=false: map(release:)).
+  /// The buffer must be mapped, and is exited at most once per wave.
+  void exit_data(void* host, bool copy = true);
+
+  /// `target nowait depend(...)`: records a kernel launch. Every buffer in
+  /// `args` must be mapped and appear in `deps` (§4.3's documented
+  /// restriction: the DM infers placement and write-intent from the
+  /// dependence list). A dependence on storage no enter mapped weighs 0
+  /// bytes. `cost_s` is the scheduler's compute estimate (0 = options
+  /// default).
+  int target(omp::DepList deps, offload::KernelId kernel, Args args,
+             double cost_s = 0.0);
+
+  /// A classical `task` — always executed on the head node (§4.4).
+  int host_task(std::function<void()> fn, omp::DepList deps = {});
+
+  /// Tasks recorded since the last hand-over.
+  bool has_recorded() const noexcept { return !graph_.empty(); }
+
+ protected:
+  /// Hands the recorded wave to `sink`, which takes it by moving from it;
+  /// its edge weights resolve through the mapped sizes as recorded. A sink
+  /// that throws before moving refuses the wave, which then stays recorded
+  /// (admission backpressure); otherwise the wave's exits unmap their
+  /// buffers. No-op when nothing is recorded.
+  void hand_over(const std::function<void(ClusterGraph&)>& sink);
+
+ private:
+  struct Mapping {
+    std::size_t bytes = 0;
+    bool exiting = false;  ///< exit recorded in the wave being built
+  };
+  using MappedSet = std::unordered_map<const void*, Mapping>;
+  MappedSet mapped_;  ///< by host pointer
+  /// Exits recorded in the wave being built: their buffers stay mapped
+  /// (the wave's own dependences name them) until the hand-over.
+  std::vector<const void*> exited_;
+  /// mapped_ as handed-over waves resolve it, shared by all of them; null
+  /// after mapped_ changed, rebuilt at the next hand-over.
+  std::shared_ptr<const MappedSet> weights_;
+  ClusterGraph graph_;
+};
+
 class MembershipBus;
 
-class Runtime {
+class Runtime : private WaveRecorder {
  public:
   /// Constructed by launch() on the head rank; user code receives it in
   /// the head_main callback. All methods are head-control-thread-only.
@@ -166,23 +224,12 @@ class Runtime {
           MembershipBus* bus = nullptr);
   ~Runtime();
 
-  // --- recording API ----------------------------------------------------
+  // --- recording API (tenant 0; see WaveRecorder) -----------------------
 
-  /// `target enter data nowait map(to:)` (copy=false: map(alloc:)).
-  void enter_data(void* host, std::size_t size, bool copy = true);
-
-  /// `target exit data nowait map(from:)` (copy=false: map(release:)).
-  void exit_data(void* host, bool copy = true);
-
-  /// `target nowait depend(...)`: records a kernel launch. Every buffer in
-  /// `args` must appear in `deps` (§4.3's documented restriction: the DM
-  /// infers placement and write-intent from the dependence list).
-  /// `cost_s` is the scheduler's compute estimate (0 = options default).
-  int target(omp::DepList deps, offload::KernelId kernel, Args args,
-             double cost_s = 0.0);
-
-  /// A classical `task` — always executed on the head node (§4.4).
-  int host_task(std::function<void()> fn, omp::DepList deps = {});
+  using WaveRecorder::enter_data;
+  using WaveRecorder::exit_data;
+  using WaveRecorder::host_task;
+  using WaveRecorder::target;
 
   /// The implicit barrier: schedules the recorded graph (HEFT), executes
   /// it across the cluster and returns when every task has completed.
@@ -304,20 +351,22 @@ class Runtime {
   void execute_task(const ClusterTask& t, int proc, bool prefetch);
   void dispatch(const ClusterGraph& graph, const ScheduleResult& sched,
                 bool prefetch);
-  /// The shared wave engine: build edges, checkpoint/log/replicate when
-  /// fault tolerance is on, run with the §5 recovery loop, advance the
-  /// wave index. Both the legacy wait_all() path and the tenant serve
-  /// loop execute waves through here, which is what makes recovery and
-  /// failover tenant-agnostic.
+  /// The shared wave engine: count the task mix, register the wave's
+  /// enters, build edges, checkpoint/log/replicate when fault tolerance is
+  /// on, run with the §5 recovery loop, advance the wave index. Both the
+  /// legacy wait_all() path and the tenant serve loop execute waves through
+  /// here, which is what makes recovery and failover tenant-agnostic.
   void execute_wave(ClusterGraph&& wave);
   /// Schedules `graph` onto the surviving workers and dispatches it.
   void run_wave(const ClusterGraph& graph, bool prefetch);
-  /// Runs `current` (nullable) with the §5 recovery loop around it: on a
+  /// Runs the current wave with the §5 recovery loop around it: on a
   /// worker death, rolls back to the checkpoint and replays the logged
-  /// waves (all of them when `current` is null — the between-waves repair
-  /// path) before retrying. `replaying` starts a replay round immediately
-  /// (set when the checkpoint capture itself hit the failure).
-  void run_with_recovery(const ClusterGraph* current, bool replaying);
+  /// waves before retrying. The current wave is `unlogged` when given
+  /// (fault tolerance off), else the logged wave numbered wave_index_; with
+  /// neither (the between-waves repair path) every logged wave replays.
+  /// `replaying` starts a replay round immediately (set when the
+  /// checkpoint capture itself hit the failure).
+  void run_with_recovery(const ClusterGraph* unlogged, bool replaying);
   /// Rolls the cluster back to the last checkpoint after `dead` failed (or
   /// throws RecoveryError when recovery is impossible).
   void rollback(mpi::Rank dead);
@@ -327,7 +376,6 @@ class Runtime {
   /// rollback() in a retry loop: absorbs workers that die during the
   /// rollback itself. Throws only RecoveryError.
   void recover_from(mpi::Rank dead);
-  ClusterGraph fresh_graph() const;
 
   // --- head failover internals ------------------------------------------
 
@@ -367,7 +415,7 @@ class Runtime {
 
   /// After a restore that fell back to the prior checkpoint generation:
   /// splices the previous period's waves ahead of the current log so
-  /// replay starts from the prior boundary.
+  /// replay starts from the prior boundary, and forces a Full resync.
   void absorb_degraded_restore();
 
   /// Post-failover heap reset: every survivor frees all device blocks
@@ -390,7 +438,6 @@ class Runtime {
   /// thread), so HelperThreads/TwoStep semantics are unchanged — only the
   /// per-wave create/join churn is gone.
   std::unique_ptr<HelperPool> helpers_;
-  ClusterGraph graph_;
   ScheduleResult last_;
   RuntimeStats stats_;
 
@@ -403,7 +450,7 @@ class Runtime {
   // Fault-tolerance state (head control thread, except reported_dead_
   // which detector threads append to under fault_mutex_).
   CheckpointStore ckpt_;
-  std::vector<ClusterGraph> wave_log_;     ///< waves since last checkpoint
+  WaveLog log_;  ///< waves since the last checkpoint, and the period before
   std::vector<mpi::Rank> live_workers_;    ///< proc index -> minimpi rank
   std::int64_t wave_index_ = 0;
   std::mutex fault_mutex_;
@@ -420,7 +467,6 @@ class Runtime {
   MembershipBus* bus_ = nullptr;
   mpi::Rank shadow_rank_ = -1;     ///< current replication target
   std::uint64_t replica_generation_ = 0;
-  std::size_t replicated_waves_ = 0;  ///< wave_blobs_ prefix already shipped
   /// Snapshot blob ids the shadow holds (sorted), as of the last update it
   /// acknowledged; only a Full resync ignores them.
   std::vector<std::uint64_t> shadow_blob_ids_;
@@ -430,25 +476,11 @@ class Runtime {
     OriginEventPtr ack;
     mpi::Rank shadow = -1;
     std::vector<std::uint64_t> blob_ids;
-    std::size_t waves = 0;     ///< wave_blobs_ prefix the update covers
+    std::size_t waves = 0;     ///< current-generation waves it covers
     std::int64_t bytes = 0;    ///< payload size
     std::size_t retired = 0;   ///< ckpt_.num_retired() when it started
   };
   std::optional<PendingReplication> replication_;
-  /// Serialized mirrors of wave_log_ (same indices): what replication ships
-  /// and what failover replays for waves the replica missed. prev_* mirror
-  /// the generation retained by the checkpoint store for degraded restores.
-  std::vector<Bytes> wave_blobs_;
-  std::vector<ClusterGraph> prev_wave_log_;
-  std::vector<Bytes> prev_wave_blobs_;
-  /// Global wave number of each wave_blobs_/prev_wave_blobs_ entry (same
-  /// indices). Failover merges the replica's log with the local tail BY
-  /// WAVE NUMBER: a position splice loses the current wave whenever the
-  /// head dies after a boundary reset but before that wave's replication
-  /// round commits (both lists then have the same length but are one
-  /// boundary apart).
-  std::vector<std::int64_t> wave_seqs_;
-  std::vector<std::int64_t> prev_wave_seqs_;
   std::vector<mpi::Rank> spare_pool_;      ///< booted, idle, joinable ranks
   std::vector<mpi::Rank> pending_joins_;   ///< applied at the next boundary
   std::vector<mpi::Rank> pending_leaves_;
@@ -499,19 +531,17 @@ class Runtime {
   std::vector<TenantId> episode_tenants_;
 };
 
-/// Per-tenant recording surface: the same enter/exit/target/host_task API
-/// as Runtime, but thread-confined to the tenant's own thread and detached
-/// from the legacy single-graph state. A session validates dependences
-/// against the buffers *it* entered (tenants own disjoint buffer sets —
-/// host pointers are the namespace, so sharing one buffer across tenants
-/// is a recording error, not a data race), and DM registration is deferred
-/// to the wave's execution on the head control thread.
+/// A tenant's stream: the WaveRecorder verbs on the tenant's own thread,
+/// plus submission into the tenant's queue. A session's mapped set is its
+/// own (tenants own disjoint buffer sets — host pointers are the
+/// namespace, so sharing one buffer across tenants is a recording error,
+/// not a data race).
 ///
 /// Lifecycle: create all sessions, spawn one submitter thread each, then
 /// pump Runtime::serve_tenants() from the head control thread. close()
 /// (or destruction) marks the stream finished; the serve loop exits once
 /// every session has closed and the queues have drained.
-class TenantSession {
+class TenantSession : public WaveRecorder {
  public:
   /// Opens a session for `tenant` (from Runtime::create_tenant).
   TenantSession(Runtime& rt, TenantId tenant);
@@ -519,17 +549,6 @@ class TenantSession {
 
   TenantSession(const TenantSession&) = delete;
   TenantSession& operator=(const TenantSession&) = delete;
-
-  /// `target enter data nowait map(to:)` — recorded; the DM learns of the
-  /// buffer when the wave executes.
-  void enter_data(void* host, std::size_t size, bool copy = true);
-  void exit_data(void* host, bool copy = true);
-  int target(omp::DepList deps, offload::KernelId kernel, Args args,
-             double cost_s = 0.0);
-  int host_task(std::function<void()> fn, omp::DepList deps = {});
-
-  /// Tasks recorded since the last submit.
-  bool has_recorded() const noexcept { return !graph_.empty(); }
 
   /// Submits the recorded wave (throws AdmissionError when the tenant's
   /// queue is full — the wave stays recorded for a retry).
@@ -547,20 +566,11 @@ class TenantSession {
   TenantId tenant() const noexcept { return tenant_; }
 
  private:
-  ClusterGraph fresh() const;
   void submit_impl(bool blocking);
 
   Runtime* rt_;
   TenantId tenant_;
   bool closed_ = false;
-  /// Buffers this session entered (host ptr -> bytes): the session-local
-  /// registry that stands in for the DM at recording time.
-  std::unordered_map<const void*, std::size_t> sizes_;
-  /// Buffers exit_data recorded in the wave being built: still resolvable
-  /// (the exit wave's own dependences name them) until the wave submits,
-  /// erased from sizes_ then.
-  std::vector<const void*> exited_;
-  ClusterGraph graph_;
 };
 
 /// Runs `head_main` on the head rank of a freshly simulated cluster:

@@ -3,15 +3,18 @@
 // state), and multi-wave programs recover losing only the waves since the
 // last checkpoint — re-executed with bit-identical results. Head-locality
 // captures take over the retrieves a wave started at each buffer's last
-// write, never one started too early or during a replay.
+// write, never one started too early or during a replay. A wave that maps
+// a buffer is a capture boundary on both recording surfaces.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/runtime.hpp"
 #include "offload/kernel_registry.hpp"
+#include "recording_surfaces.hpp"
 #include "taskbench/kernel.hpp"
 #include "taskbench/runners.hpp"
 #include "taskbench/spec.hpp"
@@ -311,6 +314,68 @@ TEST(Checkpoint, RetrievesPerCaptureEqualTheDirtyBuffersOnTbFtShape) {
   EXPECT_EQ(long_run.stats.retrieves - short_run.stats.retrieves,
             dirty_buffers);
 }
+
+// --- a wave that maps a buffer is a capture boundary ----------------------
+
+class MappingWave
+    : public ::testing::TestWithParam<std::tuple<surfaces::Surface, int>> {};
+
+TEST_P(MappingWave, ReplayReentersTheCheckpointedBytes) {
+  // Wave 1 enters `a` = 10, applies a = 3a + 1 and exits `a` with copy in
+  // its first milliseconds, while a 300 ms task runs on every worker.
+  // Worker rank 1 dies 150 ms in, after the exit wrote 31 into the host
+  // copy. The replay must re-enter `a` from the checkpointed 10 — so wave 1
+  // has to be a capture boundary even where the period skips it, on both
+  // recording surfaces — or `a` ends as 3 * 31 + 1 = 94.
+  const auto [surface, period] = GetParam();
+  ClusterOptions opts;
+  opts.num_workers = 2;
+  opts.heartbeat_period_ms = 5;
+  opts.heartbeat_timeout_ms = 60;
+  opts.checkpoint_period = period;
+  opts.kills.push_back({1, 150'000'000 * kTimeScale});
+
+  std::uint64_t a = 10;
+  std::vector<std::uint64_t> cells(2, 0);
+  const RuntimeStats stats = surfaces::run_on(
+      surface, opts, [&](auto& rec, const auto& barrier) {
+        const auto affine = [&](std::uint64_t* cell, std::int64_t task_ns,
+                                std::uint64_t mul, std::uint64_t add) {
+          Args args;
+          args.buf(cell).scalar(task_ns).scalar(mul).scalar(add);
+          rec.target({omp::inout(cell)}, kAffine, std::move(args),
+                     static_cast<double>(task_ns) * 1e-9);
+        };
+        for (auto& c : cells) {
+          rec.enter_data(&c, sizeof c);
+          affine(&c, 0, 1, 1);
+        }
+        barrier();
+        rec.enter_data(&a, sizeof a);
+        affine(&a, 0, 3, 1);
+        rec.exit_data(&a);
+        for (auto& c : cells) affine(&c, 300'000'000 * kTimeScale, 1, 1);
+        barrier();
+        for (auto& c : cells) rec.exit_data(&c);
+        barrier();
+      });
+  EXPECT_EQ(a, 31u);
+  for (const auto c : cells) EXPECT_EQ(c, 2u);
+  EXPECT_GE(stats.recoveries, 1);
+  EXPECT_EQ(stats.workers_lost, 1);
+  EXPECT_GE(stats.replayed_tasks, 1);
+  EXPECT_EQ(stats.target_tasks, 5);  // replayed tasks do not count again
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SurfacesAndPeriods, MappingWave,
+    ::testing::Combine(::testing::Values(surfaces::Surface::Runtime,
+                                         surfaces::Surface::Session),
+                       ::testing::Values(1, 2)),
+    [](const auto& info) {
+      return surfaces::surface_name(std::get<0>(info.param)) + "Period" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(Checkpoint, MultiWaveRecoveryReplaysOnlySinceLastBoundary) {
   // 4 compute waves of ~60 ms each (4 cells over 2 workers x 2 handlers);

@@ -282,8 +282,9 @@ std::shared_ptr<const Bytes> blob_of(std::uint8_t fill) {
 Bytes replica_update(ReplicaStore::Update kind, const SnapshotBlobs& carried,
                      const std::vector<std::uint64_t>& ids) {
   const Bytes metadata(8, std::byte{0x11});
-  const std::vector<Bytes> waves(1, Bytes(4, std::byte{0x22}));
-  return ReplicaStore::encode(kind, metadata, {}, waves, carried, ids);
+  core::WaveGeneration waves(1);
+  waves[0].blob = Bytes(4, std::byte{0x22});
+  return ReplicaStore::encode(kind, metadata, {}, waves, 0, carried, ids);
 }
 
 std::vector<std::uint64_t> held_ids(const ReplicaStore& store) {

@@ -4,8 +4,8 @@
 // bar: per-tenant results are bitwise identical to solo runs (the
 // expected_checksum oracle IS the solo value), under worker AND head kills
 // mid-stream, on both conduits (see the _shm ctest rerun). The elastic
-// helper-pool rules (reserve-driven growth, idle shrink) and the TenantStats
-// percentile math are unit-tested here too.
+// helper pool's reserve-driven growth and the TenantStats percentile math
+// are unit-tested here too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -69,40 +69,26 @@ TEST(TenantStatsUnit, NearestRankPercentiles) {
 
 // --- elastic helper pool --------------------------------------------------
 
-TEST(HelperPoolElastic, ReserveGrowsIdleShrinkRetiresToFloor) {
-  HelperPool pool(/*min=*/1, /*max=*/4, /*idle_shrink_ms=*/50, "el");
+TEST(HelperPoolElastic, ReserveGrowsToTheCeiling) {
+  HelperPool pool(/*min=*/1, /*max=*/4, "el");
   EXPECT_EQ(pool.num_threads(), 1);
   EXPECT_EQ(pool.threads_spawned(), 1);
 
+  pool.reserve(2);
+  EXPECT_EQ(pool.num_threads(), 2);
   pool.reserve(8);  // announced demand is capped at the ceiling
   EXPECT_EQ(pool.num_threads(), 4);
   EXPECT_EQ(pool.threads_spawned(), 4);
   EXPECT_EQ(pool.peak_threads(), 4);
+  pool.reserve(2);  // never shrinks
+  EXPECT_EQ(pool.num_threads(), 4);
 
-  // Above-floor threads idle past the shrink window retire themselves.
-  for (int i = 0; i < 500 && pool.num_threads() > 1; ++i)
-    precise_sleep_ns(10'000'000);
-  EXPECT_EQ(pool.num_threads(), 1);
-  EXPECT_EQ(pool.threads_retired(), 3);
-
-  // Regrowth after a shrink works, and jobs actually run on the regrown
-  // threads.
-  pool.reserve(2);
-  EXPECT_EQ(pool.num_threads(), 2);
-  EXPECT_EQ(pool.threads_spawned(), 5);
+  // Jobs actually run on the grown threads.
   std::atomic<int> ran{0};
-  pool.submit([&ran] { ++ran; });
-  for (int i = 0; i < 500 && pool.jobs_run() < 1; ++i)
+  for (int i = 0; i < 4; ++i) pool.submit([&ran] { ++ran; });
+  for (int i = 0; i < 500 && pool.jobs_run() < 4; ++i)
     precise_sleep_ns(1'000'000);
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(HelperPoolElastic, FixedCtorNeverShrinks) {
-  HelperPool pool(3, "fx");
-  EXPECT_EQ(pool.num_threads(), 3);
-  precise_sleep_ns(100'000'000);
-  EXPECT_EQ(pool.num_threads(), 3);  // floor == ceiling, no idle shrink
-  EXPECT_EQ(pool.threads_retired(), 0);
+  EXPECT_EQ(ran.load(), 4);
 }
 
 // --- concurrent tenants, no faults ----------------------------------------

@@ -3,14 +3,18 @@
 // the cluster back to the last wave-boundary checkpoint, re-ranks the
 // survivors and re-executes the lost sub-graph — and the results are
 // bitwise identical to a failure-free run. With checkpointing disabled the
-// same failure must surface as a clean RecoveryError, never a hang.
+// same failure must surface as a clean RecoveryError, never a hang. The
+// replay log's generations and its failover merge are unit-tested here too.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/fault.hpp"
 #include "core/runtime.hpp"
+#include "core/wave_log.hpp"
 #include "minimpi/mpi.hpp"
 #include "taskbench/kernel.hpp"
 #include "taskbench/runners.hpp"
@@ -218,6 +222,99 @@ TEST(Recovery, FailureFreeRunWithFaultToleranceOnIsUnaffected) {
   EXPECT_EQ(r.stats.checkpoints, 1);  // one wave, one boundary snapshot
   // 2 rows x 8 columns x 32 B
   EXPECT_EQ(r.stats.checkpoint_bytes, 2 * 8 * 32);
+}
+
+// --- WaveLog: two generations, merged by wave number on failover ----------
+
+/// A one-task wave told apart by its cost hint, which survives the
+/// serialization round trip.
+core::ClusterGraph marked_wave(double marker) {
+  core::ClusterGraph g;
+  core::ClusterTask t;
+  t.cost_s = marker;
+  g.add_task(std::move(t));
+  return g;
+}
+
+Bytes blob_of(double marker) { return core::serialize_graph(marked_wave(marker)); }
+
+std::vector<std::int64_t> seqs(const core::WaveGeneration& gen) {
+  std::vector<std::int64_t> out;
+  for (const core::LoggedWave& w : gen) {
+    // Each entry runs the wave its number names.
+    EXPECT_EQ(w.graph.task(0).cost_s, static_cast<double>(w.seq));
+    out.push_back(w.seq);
+  }
+  return out;
+}
+
+std::size_t no_sizes(const void*) { return 0; }
+
+using Seqs = std::vector<std::int64_t>;
+
+TEST(WaveLogUnit, AppendCutAndSplice) {
+  core::WaveLog log;
+  log.append(marked_wave(0), 0);
+  log.append(marked_wave(1), 1);
+  EXPECT_EQ(seqs(log.current()), (Seqs{0, 1}));
+  EXPECT_EQ(log.current()[1].blob, blob_of(1));
+  EXPECT_EQ(log.find(1), &log.current()[1]);
+  EXPECT_EQ(log.find(2), nullptr);
+  log.set_shipped(2);
+
+  log.cut();
+  EXPECT_TRUE(log.current().empty());
+  EXPECT_EQ(seqs(log.previous()), (Seqs{0, 1}));
+  EXPECT_EQ(log.shipped(), 0u);
+
+  log.append(marked_wave(2), 2);
+  log.splice_previous();  // a degraded restore replays from boundary 0
+  EXPECT_EQ(seqs(log.current()), (Seqs{0, 1, 2}));
+  EXPECT_TRUE(log.previous().empty());
+}
+
+TEST(WaveLogUnit, AdoptKeepsTheCurrentWaveWhenTheLogsAreOneBoundaryApart) {
+  // Period 1: the head cut at boundary 5 and started wave 5, then died
+  // before the shadow acknowledged that update. The replica still holds
+  // boundary 4's period {4} (prev {3}); the head's own log is {5} (prev
+  // {4}): equal lengths, one boundary apart. Splicing by position would
+  // drop wave 5, the one the client is waiting on.
+  core::WaveLog log;
+  log.append(marked_wave(3), 3);
+  log.cut();
+  log.append(marked_wave(4), 4);
+  log.cut();
+  log.append(marked_wave(5), 5);
+  log.adopt({blob_of(3)}, {blob_of(4)}, /*base=*/4, no_sizes);
+  EXPECT_EQ(seqs(log.current()), (Seqs{4, 5}));
+  EXPECT_EQ(seqs(log.previous()), (Seqs{3}));
+  ASSERT_NE(log.find(5), nullptr);
+  EXPECT_EQ(log.shipped(), 0u);
+}
+
+TEST(WaveLogUnit, AdoptPromotesLocalPreviousWavesNewerThanTheBase) {
+  // The replica's period starts at boundary 4 but holds no wave yet; the
+  // head cut again at 5, so wave 4 sits in its previous generation.
+  core::WaveLog log;
+  log.append(marked_wave(4), 4);
+  log.cut();
+  log.append(marked_wave(5), 5);
+  log.adopt({blob_of(2), blob_of(3)}, {}, /*base=*/4, no_sizes);
+  EXPECT_EQ(seqs(log.current()), (Seqs{4, 5}));
+  EXPECT_EQ(seqs(log.previous()), (Seqs{2, 3}));
+}
+
+TEST(WaveLogUnit, AdoptGapThrowsRecoveryErrorNamingTheMissingWave) {
+  core::WaveLog log;
+  log.append(marked_wave(7), 7);
+  try {
+    log.adopt({}, {blob_of(4)}, /*base=*/4, no_sizes);
+    ADD_FAILURE() << "adopted a log with waves 5 and 6 missing";
+  } catch (const RecoveryError& e) {
+    EXPECT_NE(std::string(e.what()).find("reconstruct wave 5"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 // End-to-end tests of the OMPC runtime facade: offload round trips, depend
-// chains, write invalidation and multi-wave execution.
+// chains, write invalidation and multi-wave execution. The recording rules
+// and host-task coherence are checked on both recording surfaces (the
+// Runtime's verbs and a TenantSession on its own thread).
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "core/runtime.hpp"
+#include "recording_surfaces.hpp"
 
 namespace ompc::core {
 namespace {
@@ -201,6 +206,158 @@ TEST(RuntimeBasic, BufferArgMissingFromDependsFails) {
                              .scalar(1.0).scalar(0.0));
              }),
       CheckError);
+}
+
+// --- one recording surface ------------------------------------------------
+
+using surfaces::run_on;
+using surfaces::Surface;
+
+/// buffers[0]: u64 cell. scalars: (mul, add). cell = cell * mul + add.
+const offload::KernelId kAffine = KernelRegistry::instance().register_kernel(
+    "test_basic_affine", [](KernelContext& ctx) {
+      auto r = ctx.scalars();
+      const auto mul = r.get<std::uint64_t>();
+      const auto add = r.get<std::uint64_t>();
+      std::uint64_t& cell = *ctx.buffer<std::uint64_t>(0);
+      cell = cell * mul + add;
+    });
+
+Args affine_args(std::uint64_t* cell, std::uint64_t mul, std::uint64_t add) {
+  Args args;
+  args.buf(cell).scalar(mul).scalar(add);
+  return args;
+}
+
+class RecordingParity : public ::testing::TestWithParam<Surface> {};
+
+TEST_P(RecordingParity, RejectsTheSameErrorsAtRecordTime) {
+  std::uint64_t a = 1;
+  std::uint64_t never = 0;
+  run_on(GetParam(), small_cluster(1), [&](auto& rec, const auto& barrier) {
+    EXPECT_THROW(rec.target({omp::inout(&a)}, kAffine, affine_args(&a, 1, 1)),
+                 CheckError)
+        << "target on a buffer never entered";
+    rec.enter_data(&a, sizeof a);
+    EXPECT_THROW(rec.enter_data(&a, sizeof a), CheckError) << "double enter";
+    EXPECT_THROW(rec.target({}, kAffine, affine_args(&a, 1, 1)), CheckError)
+        << "buffer argument missing from the dependences";
+    EXPECT_THROW(rec.exit_data(&never), CheckError)
+        << "exit of a buffer never entered";
+    rec.target({omp::inout(&a)}, kAffine, affine_args(&a, 2, 0));
+    rec.exit_data(&a);
+    EXPECT_THROW(rec.exit_data(&a), CheckError) << "second exit in one wave";
+    barrier();
+    // The exit unmapped it: a later wave may map it again.
+    rec.enter_data(&a, sizeof a);
+    rec.target({omp::inout(&a)}, kAffine, affine_args(&a, 1, 3));
+    rec.exit_data(&a);
+    barrier();
+  });
+  EXPECT_EQ(a, 5u);  // only the accepted tasks ran: 1 * 2, then + 3
+}
+
+TEST_P(RecordingParity, AcceptsADependenceOnUnmappedStorage) {
+  // `flag` is ordinary host storage no enter mapped: it still orders the
+  // host task before the target, and its edge weighs 0 bytes.
+  std::uint64_t a = 1;
+  int flag = 0;
+  run_on(GetParam(), small_cluster(2), [&](auto& rec, const auto& barrier) {
+    rec.enter_data(&a, sizeof a);
+    rec.host_task([&flag] { flag = 1; }, {omp::out(&flag)});
+    rec.target({omp::inout(&a), omp::in(&flag)}, kAffine,
+               affine_args(&a, 3, 0));
+    rec.exit_data(&a);
+    barrier();
+  });
+  EXPECT_EQ(a, 3u);
+  EXPECT_EQ(flag, 1);
+}
+
+TEST_P(RecordingParity, CountsTheTaskMixOncePerWave) {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  const RuntimeStats stats =
+      run_on(GetParam(), small_cluster(2), [&](auto& rec, const auto& barrier) {
+        rec.enter_data(&a, sizeof a);
+        rec.enter_data(&b, sizeof b);
+        rec.target({omp::inout(&a)}, kAffine, affine_args(&a, 1, 1));
+        rec.target({omp::inout(&b)}, kAffine, affine_args(&b, 1, 2));
+        barrier();
+        rec.host_task([] {}, {omp::in(&a)});
+        rec.target({omp::inout(&a)}, kAffine, affine_args(&a, 1, 1));
+        rec.exit_data(&a);
+        rec.exit_data(&b);
+        barrier();
+      });
+  EXPECT_EQ(stats.target_tasks, 3);
+  EXPECT_EQ(stats.data_tasks, 4);
+  EXPECT_EQ(stats.host_tasks, 1);
+  EXPECT_EQ(stats.waves, 2);
+  EXPECT_EQ(a, 2u);
+  EXPECT_EQ(b, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Surfaces, RecordingParity,
+                         ::testing::Values(Surface::Runtime, Surface::Session),
+                         [](const auto& info) {
+                           return surfaces::surface_name(info.param);
+                         });
+
+// --- host tasks run on the freshest copy ----------------------------------
+
+class HostTaskCoherence
+    : public ::testing::TestWithParam<std::tuple<Surface, int>> {};
+
+TEST_P(HostTaskCoherence, ReadsAndPublishesTheFreshestCopy) {
+  // A target sets the cell to 5 on a worker; the host task must read 5 and
+  // its +100 must reach the next target and the exit.
+  const auto [surface, period] = GetParam();
+  ClusterOptions opts = small_cluster(1);
+  opts.checkpoint_period = period;
+  std::uint64_t cell = 0;
+  std::uint64_t seen = 0;
+  run_on(surface, opts, [&](auto& rec, const auto& barrier) {
+    rec.enter_data(&cell, sizeof cell);
+    rec.target({omp::inout(&cell)}, kAffine, affine_args(&cell, 0, 5));
+    rec.host_task(
+        [&] {
+          seen = cell;
+          cell += 100;
+        },
+        {omp::inout(&cell)});
+    rec.target({omp::inout(&cell)}, kAffine, affine_args(&cell, 2, 0));
+    rec.exit_data(&cell);
+    barrier();
+  });
+  EXPECT_EQ(seen, 5u);
+  EXPECT_EQ(cell, 210u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SurfacesAndPeriods, HostTaskCoherence,
+    ::testing::Combine(::testing::Values(Surface::Runtime, Surface::Session),
+                       ::testing::Values(0, 1)),
+    [](const auto& info) {
+      return surfaces::surface_name(std::get<0>(info.param)) + "Period" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(HostTask, InOnlyDependenceLeavesTheWorkerReplicaValid) {
+  std::uint64_t cell = 0;
+  std::uint64_t seen = 0;
+  launch(small_cluster(1), [&](Runtime& rt) {
+    rt.enter_data(&cell, sizeof cell);
+    rt.target({omp::inout(&cell)}, kAffine, affine_args(&cell, 0, 5));
+    rt.host_task([&] { seen = cell; }, {omp::in(&cell)});
+    rt.wait_all();
+    const DataManager::Snapshot snap = rt.data_manager().snapshot(&cell);
+    EXPECT_TRUE(snap.valid_on_head);
+    EXPECT_EQ(snap.valid_workers, (std::set<mpi::Rank>{1}));
+    rt.exit_data(&cell);
+  });
+  EXPECT_EQ(seen, 5u);
+  EXPECT_EQ(cell, 5u);
 }
 
 }  // namespace
