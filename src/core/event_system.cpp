@@ -27,7 +27,6 @@ const char* to_string(EventKind k) {
     case EventKind::RmaPut: return "RmaPut";
     case EventKind::HeadState: return "HeadState";
     case EventKind::TrimHeap: return "TrimHeap";
-    case EventKind::MembershipUpdate: return "MembershipUpdate";
   }
   return "?";
 }
@@ -983,13 +982,6 @@ bool EventSystem::progress(RemoteEvent& ev) {
       OMPC_CHECK(memory_ != nullptr);
       for (const offload::TargetPtr p : memory_->blocks())
         if (keep.count(p) == 0) free_block(p);
-      send_completion(a.origin, a.tag, {});
-      return true;
-    }
-    case EventKind::MembershipUpdate: {
-      // Informational on workers today (the head owns placement); carried
-      // as an event so membership changes are acknowledged and ordered
-      // with the data plane.
       send_completion(a.origin, a.tag, {});
       return true;
     }

@@ -1,5 +1,7 @@
 #include "core/heartbeat.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 #include "common/time.hpp"
 
@@ -7,7 +9,12 @@ namespace ompc::core {
 
 namespace {
 constexpr mpi::Tag kPingTag = 7;
-}
+/// The adaptive threshold never drops below this many periods, so a burst
+/// of fast pings cannot make detection hair-triggered.
+constexpr std::int64_t kFloorPeriods = 4;
+/// Deviation multiplier k in mean + k·dev (Jacobson's RTO uses 4).
+constexpr std::int64_t kDevFactor = 6;
+}  // namespace
 
 HeartbeatRing::HeartbeatRing(mpi::Comm comm, Options opts,
                              std::function<void(mpi::Rank)> on_failure)
@@ -36,20 +43,24 @@ void HeartbeatRing::ring_main() {
   std::int64_t last_ping_ns = now_ns();
   const std::int64_t period_ns = opts_.period_ms * 1'000'000;
   const std::int64_t timeout_ns = opts_.timeout_ms * 1'000'000;
-  const std::int64_t min_ns = (opts_.min_timeout_ms > 0
-                                   ? opts_.min_timeout_ms * 1'000'000
-                                   : 4 * period_ns);
+  const std::int64_t floor_ns = std::min(kFloorPeriods * period_ns, timeout_ns);
 
-  // Adaptive threshold (Jacobson/Karels): EWMA mean and deviation of the
-  // measured inter-ping gaps. A quiet, punctual ring tightens detection
-  // well below the worst-case fixed timeout; a jittery one backs off
-  // before it false-positives. The fixed timeout stays the upper bound.
+  // EWMA mean and deviation of the measured inter-ping gaps; the fixed
+  // timeout stays the upper bound.
   std::int64_t mean_ns = period_ns;
   std::int64_t dev_ns = period_ns;
   std::int64_t threshold_ns = timeout_ns;
   threshold_ns_.store(threshold_ns, std::memory_order_relaxed);
+  const auto rethreshold = [&] {
+    threshold_ns = std::clamp(mean_ns + kDevFactor * dev_ns + period_ns,
+                              floor_ns, timeout_ns);
+    threshold_ns_.store(threshold_ns, std::memory_order_relaxed);
+  };
 
   while (!stop_.load(std::memory_order_relaxed)) {
+    // A dead rank's ring is gone with it: it must not read its own
+    // silence as its predecessor's death.
+    if (comm_.universe().is_dead(comm_.rank())) return;
     try {
       if (!paused_.load(std::memory_order_relaxed)) {
         const std::uint64_t beat = 1;
@@ -60,16 +71,10 @@ void HeartbeatRing::ring_main() {
         std::uint64_t beat = 0;
         comm_.recv(&beat, sizeof beat, prev_, kPingTag);
         const std::int64_t now = now_ns();
-        if (opts_.adaptive) {
-          const std::int64_t gap = now - last_ping_ns;
-          const std::int64_t err = gap - mean_ns;
-          mean_ns += err / 8;
-          dev_ns += ((err < 0 ? -err : err) - dev_ns) / 4;
-          threshold_ns = mean_ns + opts_.dev_factor * dev_ns + period_ns;
-          if (threshold_ns < min_ns) threshold_ns = min_ns;
-          if (threshold_ns > timeout_ns) threshold_ns = timeout_ns;
-          threshold_ns_.store(threshold_ns, std::memory_order_relaxed);
-        }
+        const std::int64_t err = now - last_ping_ns - mean_ns;
+        mean_ns += err / 8;
+        dev_ns += ((err < 0 ? -err : err) - dev_ns) / 4;
+        rethreshold();
         last_ping_ns = now;
       }
       if (!failed_.load(std::memory_order_relaxed) &&
@@ -79,14 +84,10 @@ void HeartbeatRing::ring_main() {
           // starved by the scheduler, not the peer dying. The liveness
           // check stands in for a real transport's connection-state
           // notification, same as the membership agent's head poll. Widen
-          // the adaptive threshold so the same stall does not re-trip.
+          // the threshold so the same stall does not re-trip.
           last_ping_ns = now_ns();
-          if (opts_.adaptive) {
-            dev_ns += dev_ns / 2 + period_ns;
-            threshold_ns = mean_ns + opts_.dev_factor * dev_ns + period_ns;
-            if (threshold_ns > timeout_ns) threshold_ns = timeout_ns;
-            threshold_ns_.store(threshold_ns, std::memory_order_relaxed);
-          }
+          dev_ns += dev_ns / 2 + period_ns;
+          rethreshold();
         } else {
           failed_.store(true, std::memory_order_relaxed);
           OMPC_LOG_WARN("heartbeat: rank " << prev_ << " stopped responding");

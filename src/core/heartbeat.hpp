@@ -18,24 +18,22 @@
 
 namespace ompc::core {
 
-/// Tag (on the heartbeat communicator) a worker uses to report a detected
+/// Tag (on the heartbeat communicator) a rank uses to report a detected
 /// neighbour failure to the head node, which owns recovery (§5): the ring
-/// detects, the head's failure monitor collects and acts.
+/// detects, the head's membership agent collects and acts.
 inline constexpr mpi::Tag kFailureReportTag = 8;
 
+/// Every node pings its successor each period and flags its predecessor
+/// dead after an adaptive miss threshold (Jacobson/Karels over inter-ping
+/// gaps): mean + 6·dev + period, never below 4 periods and never above
+/// `timeout_ms`. A punctual ring detects well below the worst case; a
+/// jittery one backs off before it false-positives.
 class HeartbeatRing {
  public:
   struct Options {
     std::int64_t period_ms = 20;
+    /// Ceiling of the adaptive miss threshold.
     std::int64_t timeout_ms = 100;
-
-    /// Adaptive miss threshold (Jacobson/Karels over inter-ping gaps):
-    /// threshold = mean + dev_factor * dev + period, clamped to
-    /// [min_timeout_ms, timeout_ms]. Off by default — the fixed timeout
-    /// above applies — so direct-ring users see unchanged behaviour.
-    bool adaptive = false;
-    std::int64_t min_timeout_ms = 0;  ///< 0 = auto (4 * period)
-    int dev_factor = 6;
 
     /// Confirm a miss against universe-level liveness before declaring the
     /// predecessor dead (stands in for a real transport's connection-state
@@ -48,7 +46,8 @@ class HeartbeatRing {
 
   /// `comm` must be dedicated to the ring (dup() one). `on_failure` is
   /// invoked at most once, from the heartbeat thread, with the rank of the
-  /// dead predecessor.
+  /// dead predecessor. The ring goes silent once its own rank is dead: a
+  /// corpse neither pings nor flags anyone.
   HeartbeatRing(mpi::Comm comm, Options opts,
                 std::function<void(mpi::Rank)> on_failure);
   ~HeartbeatRing();
@@ -70,8 +69,7 @@ class HeartbeatRing {
   mpi::Rank predecessor() const noexcept { return prev_; }
   mpi::Rank successor() const noexcept { return next_; }
 
-  /// The miss threshold currently in force, in ns (test hook; the fixed
-  /// timeout unless adaptive estimation has tightened it).
+  /// The miss threshold currently in force, in ns (test hook).
   std::int64_t current_threshold_ns() const {
     return threshold_ns_.load(std::memory_order_relaxed);
   }

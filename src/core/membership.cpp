@@ -187,17 +187,17 @@ void MembershipBus::await_control_release() {
 
 // --- MembershipAgent -----------------------------------------------------
 
-MembershipAgent::MembershipAgent(mpi::Comm comm, Options opts,
-                                 MembershipBus* bus, ReplicaStore* replica)
+MembershipAgent::MembershipAgent(mpi::Comm comm, HeartbeatRing::Options hb,
+                                 MembershipBus* bus, ReplicaStore* replica,
+                                 std::function<void(mpi::Rank)> report)
     : comm_(comm),
-      opts_(opts),
       bus_(bus),
       replica_(replica),
-      current_head_(opts.initial_head) {
-  if (opts_.election_window_ms <= 0)
-    opts_.election_window_ms = std::max<std::int64_t>(2 * opts_.hb.period_ms, 10);
+      report_(std::move(report)),
+      election_window_ns_(std::max<std::int64_t>(2 * hb.period_ms, 10) *
+                          1'000'000) {
   ring_ = std::make_unique<HeartbeatRing>(
-      comm_, opts_.hb, [this](mpi::Rank dead) { on_ring_failure(dead); });
+      comm_, hb, [this](mpi::Rank dead) { on_ring_failure(dead); });
   thread_ = std::thread([this] {
     log::set_thread_label("ma" + std::to_string(comm_.rank()));
     agent_main();
@@ -207,11 +207,14 @@ MembershipAgent::MembershipAgent(mpi::Comm comm, Options opts,
 MembershipAgent::~MembershipAgent() { stop(); }
 
 void MembershipAgent::stop() {
-  bool expected = false;
-  if (stop_.compare_exchange_strong(expected, true)) {
-    if (ring_) ring_->stop();
-    thread_.join();
+  {
+    std::lock_guard<std::mutex> lock(stop_mutex_);
+    if (stop_) return;
+    stop_ = true;
   }
+  stop_cv_.notify_all();
+  ring_->stop();
+  thread_.join();
 }
 
 void MembershipAgent::send_word2(mpi::Rank to, mpi::Tag tag, std::uint64_t a,
@@ -223,7 +226,7 @@ void MembershipAgent::send_word2(mpi::Rank to, mpi::Tag tag, std::uint64_t a,
 void MembershipAgent::report_to_head(mpi::Rank dead) {
   const mpi::Rank head = current_head_.load(std::memory_order_acquire);
   if (head == comm_.rank()) {
-    bus_->report_failure(dead);
+    report_(dead);
     return;
   }
   const std::uint64_t r = static_cast<std::uint64_t>(dead);
@@ -279,14 +282,14 @@ void MembershipAgent::drain() {
       known_dead_.insert(static_cast<mpi::Rank>(dead));
     }
     if (current_head_.load(std::memory_order_acquire) == comm_.rank())
-      bus_->report_failure(static_cast<mpi::Rank>(dead));
+      report_(static_cast<mpi::Rank>(dead));
   }
 }
 
 void MembershipAgent::begin_election() {
   electing_ = true;
-  window_end_ns_ = now_ns() + opts_.election_window_ms * 1'000'000;
-  const std::uint64_t gen = replica_->generation();
+  window_end_ns_ = now_ns() + election_window_ns_;
+  const std::uint64_t gen = replica_ != nullptr ? replica_->generation() : 0;
   if (gen == 0) return;  // nothing to offer: listen only
   candidacies_[comm_.rank()] = gen;
   const int n = comm_.size();
@@ -309,7 +312,7 @@ void MembershipAgent::finish_election() {
   if (candidacies_.empty()) {
     // No live replica holder has spoken (yet): keep listening. The control
     // thread's await_new_head() timeout bounds this, not the agent.
-    window_end_ns_ = now_ns() + opts_.election_window_ms * 1'000'000;
+    window_end_ns_ = now_ns() + election_window_ns_;
     return;
   }
   mpi::Rank winner = -1;
@@ -325,7 +328,7 @@ void MembershipAgent::finish_election() {
   if (winner != comm_.rank()) {
     // Wait for the winner's handoff; if it died meanwhile its candidacy is
     // struck next round and the election re-runs.
-    window_end_ns_ = now_ns() + opts_.election_window_ms * 1'000'000;
+    window_end_ns_ = now_ns() + election_window_ns_;
     return;
   }
   OMPC_LOG_WARN("election: rank " << comm_.rank() << " promotes itself head"
@@ -336,7 +339,8 @@ void MembershipAgent::finish_election() {
     send_word2(r, kHeadHandoffTag, static_cast<std::uint64_t>(comm_.rank()),
                best);
   }
-  current_head_.store(comm_.rank(), std::memory_order_release);
+  const mpi::Rank old_head =
+      current_head_.exchange(comm_.rank(), std::memory_order_acq_rel);
   head_suspect_.store(false, std::memory_order_release);
   electing_ = false;
   candidacies_.clear();
@@ -346,50 +350,66 @@ void MembershipAgent::finish_election() {
   {
     std::lock_guard<std::mutex> lock(dead_mutex_);
     dead.assign(known_dead_.begin(), known_dead_.end());
+    // The head this rank replaces counts as dead, which arms the liveness
+    // sweep at once: a worker whose ring monitor was that head has no
+    // other detector left.
+    known_dead_.insert(old_head);
   }
-  for (const mpi::Rank d : dead) bus_->report_failure(d);
+  for (const mpi::Rank d : dead) report_(d);
 }
 
 void MembershipAgent::agent_main() {
-  const std::int64_t poll_ns =
-      std::max<std::int64_t>(1, opts_.hb.period_ms / 2) * 1'000'000;
-  while (!stop_.load(std::memory_order_acquire)) {
-    drain();
-    const mpi::Rank head = current_head_.load(std::memory_order_acquire);
-    if (!electing_ && head != comm_.rank()) {
-      // Two detectors: the ring (predecessor link) and — standing in for a
-      // real transport's connection-loss notification — a liveness poll of
-      // the current head, which catches head death when this rank is not
-      // the head's ring successor.
-      if (head_suspect_.load(std::memory_order_acquire) ||
-          comm_.universe().is_dead(head)) {
-        begin_election();
-      }
+  std::unique_lock<std::mutex> lock(stop_mutex_);
+  while (!stop_) {
+    lock.unlock();
+    // A dead rank's agent is gone with it: no reports, no election.
+    if (comm_.universe().is_dead(comm_.rank())) return;
+    try {
+      step();
+    } catch (const mpi::RankKilledError&) {
+      return;  // this rank was killed under a receive
     }
-    if (electing_ && now_ns() >= window_end_ns_) finish_election();
-    if (current_head_.load(std::memory_order_acquire) == comm_.rank()) {
-      // Acting head: once the ring has a hole, cascade failures (a corpse
-      // whose ring successor is also dead) have no reporter left — fall
-      // back to universe liveness, mirroring the launch-time monitor.
-      bool any_dead;
-      {
-        std::lock_guard<std::mutex> lock(dead_mutex_);
-        any_dead = !known_dead_.empty();
-      }
-      if (any_dead) {
-        const int n = comm_.size();
-        for (mpi::Rank r = 1; r < n; ++r) {
-          if (r == comm_.rank() || !comm_.universe().is_dead(r)) continue;
-          bool fresh;
-          {
-            std::lock_guard<std::mutex> lock(dead_mutex_);
-            fresh = known_dead_.insert(r).second;
-          }
-          if (fresh) bus_->report_failure(r);
-        }
-      }
+    // A report reaches recovery within ~1 ms of arriving; stop() cuts the
+    // wait short.
+    lock.lock();
+    stop_cv_.wait_for(lock, std::chrono::milliseconds(1),
+                      [this] { return stop_; });
+  }
+}
+
+void MembershipAgent::step() {
+  drain();
+  const mpi::Rank head = current_head_.load(std::memory_order_acquire);
+  if (!electing_ && head != comm_.rank()) {
+    // Two detectors: the ring (predecessor link) and — standing in for a
+    // real transport's connection-loss notification — a liveness poll of
+    // the current head, which catches head death when this rank is not
+    // the head's ring successor.
+    if (head_suspect_.load(std::memory_order_acquire) ||
+        comm_.universe().is_dead(head)) {
+      begin_election();
     }
-    precise_sleep_ns(poll_ns);
+  }
+  if (electing_ && now_ns() >= window_end_ns_) finish_election();
+  if (current_head_.load(std::memory_order_acquire) != comm_.rank()) return;
+  // Acting head: once this rank knows of one corpse, the ring has a hole,
+  // and a further corpse whose ring successor is dead too has no reporter
+  // left. Until the ring is re-linked around failures, fall back to
+  // universe liveness; the ring stays the sole detector of the first
+  // failure.
+  {
+    std::lock_guard<std::mutex> lock(dead_mutex_);
+    if (known_dead_.empty()) return;
+  }
+  const int n = comm_.size();
+  for (mpi::Rank r = 0; r < n; ++r) {
+    if (r == comm_.rank() || !comm_.universe().is_dead(r)) continue;
+    bool fresh;
+    {
+      std::lock_guard<std::mutex> lock(dead_mutex_);
+      fresh = known_dead_.insert(r).second;
+    }
+    if (fresh) report_(r);
   }
 }
 

@@ -10,13 +10,15 @@
 //    verbatim — deserialization cost is paid only on promotion. Checkpoint
 //    snapshot bytes arrive once each, keyed by replication id, and the
 //    store keeps exactly the ids the latest update lists.
-//  - MembershipAgent: one per worker rank. Owns the heartbeat ring,
-//    routes failure reports to the *current* head (re-sending them after a
-//    handoff so reports aimed at a corpse are not lost), detects head
-//    death, and runs the ring election: every replica holder broadcasts
-//    its generation, and the freshest one promotes itself (generations are
-//    unique — exactly one rank holds the latest update — so the maximum
-//    cannot tie; rank order is a defensive tie-break only).
+//  - MembershipAgent: one per rank, the head's included — the rank's one
+//    failure detector. Owns the heartbeat ring, routes failure reports to
+//    the *current* head (re-sending them after a handoff so reports aimed
+//    at a corpse are not lost), and on the acting head hands every report
+//    to recovery. It detects head death and runs the ring election: every
+//    replica holder broadcasts its generation, and the freshest one
+//    promotes itself (generations are unique — exactly one rank holds the
+//    latest update — so the maximum cannot tie; rank order is a defensive
+//    tie-break only). The head holds no replica, so it never stands.
 //  - MembershipBus: the process-level rendezvous between the election
 //    (worker threads) and the surviving control thread, which adopts the
 //    winner's event system and resumes from the replica. In a real MPI
@@ -148,21 +150,18 @@ class MembershipBus {
   bool control_released_ = false;
 };
 
-/// Per-worker membership agent: heartbeat ring + failure-report routing +
-/// head-death election. Replaces the bare ring workers ran before.
+/// Per-rank membership agent: heartbeat ring + failure-report routing +
+/// head-death election. Rank 0 starts as the head.
 class MembershipAgent {
  public:
-  struct Options {
-    HeartbeatRing::Options hb;
-    mpi::Rank initial_head = 0;
-    /// Candidacy collection window; 0 = auto (max(2 periods, 10 ms)).
-    std::int64_t election_window_ms = 0;
-  };
-
-  /// `comm` must be the dedicated heartbeat communicator. `bus` and
-  /// `replica` must outlive the agent.
-  MembershipAgent(mpi::Comm comm, Options opts, MembershipBus* bus,
-                  ReplicaStore* replica);
+  /// `comm` must be the dedicated heartbeat communicator. `bus` must outlive
+  /// the agent, and so must `replica` when given; a rank without one (the
+  /// head) listens in elections but never stands. `report` receives, on the
+  /// agent's threads, every worker failure this rank learns of while it is
+  /// the acting head.
+  MembershipAgent(mpi::Comm comm, HeartbeatRing::Options hb,
+                  MembershipBus* bus, ReplicaStore* replica,
+                  std::function<void(mpi::Rank)> report);
   ~MembershipAgent();
 
   MembershipAgent(const MembershipAgent&) = delete;
@@ -170,15 +169,9 @@ class MembershipAgent {
 
   void stop();
 
-  /// The head this agent currently reports failures to.
-  mpi::Rank current_head() const {
-    return current_head_.load(std::memory_order_acquire);
-  }
-
-  HeartbeatRing& ring() { return *ring_; }
-
  private:
   void agent_main();
+  void step();
   void drain();
   void on_ring_failure(mpi::Rank dead);
   void begin_election();
@@ -187,13 +180,18 @@ class MembershipAgent {
   void report_to_head(mpi::Rank dead);
 
   mpi::Comm comm_;
-  Options opts_;
   MembershipBus* bus_;
-  ReplicaStore* replica_;
+  ReplicaStore* replica_;  ///< null: never an election candidate
+  std::function<void(mpi::Rank)> report_;
+  std::int64_t election_window_ns_;  ///< max(2 periods, 10 ms)
 
-  std::atomic<mpi::Rank> current_head_;
+  /// The head this agent reports failures to.
+  std::atomic<mpi::Rank> current_head_{0};
   std::atomic<bool> head_suspect_{false};  ///< ring flagged the head dead
-  std::atomic<bool> stop_{false};
+
+  std::mutex stop_mutex_;
+  std::condition_variable stop_cv_;  ///< cuts the agent loop's wait short
+  bool stop_ = false;
 
   // Agent-thread state (no locking needed beyond known_dead_).
   bool electing_ = false;

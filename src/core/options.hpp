@@ -104,25 +104,12 @@ struct ClusterOptions {
   /// and reported to the head, which triggers recovery in wait_all().
   std::int64_t heartbeat_period_ms = 0;
 
-  /// Silence threshold before a ring neighbour is declared dead. With
-  /// adaptive timing (below) this is the *ceiling*: the EWMA-derived
-  /// threshold never exceeds it.
+  /// Ceiling of the silence threshold before a ring neighbour is declared
+  /// dead. The threshold itself is adaptive: an EWMA of the measured ping
+  /// gaps, mean + 6·deviation + one period, never below 4 periods. A slow
+  /// (sanitized, loaded) run widens its own threshold instead of needing
+  /// an inflated static timeout; a punctual one detects well below this.
   std::int64_t heartbeat_timeout_ms = 100;
-
-  /// Derive the miss threshold from measured ping inter-arrival samples
-  /// (Jacobson-style EWMA of mean + k·deviation) instead of the fixed
-  /// timeout. Robust under sanitizer/CI jitter: a slow run widens its own
-  /// threshold instead of needing inflated static timeouts.
-  bool heartbeat_adaptive = true;
-
-  /// Adaptive-mode floor (ms): the derived threshold never drops below
-  /// this, so a burst of fast pings cannot make detection hair-triggered.
-  /// 0 = auto (4 heartbeat periods).
-  std::int64_t heartbeat_min_timeout_ms = 0;
-
-  /// Deviation multiplier k in the adaptive threshold
-  /// mean + k * deviation (Jacobson's RTO uses 4).
-  int heartbeat_dev_factor = 6;
 
   /// Waves between buffer checkpoints (paper §5): 1 = snapshot at every
   /// wait_all() boundary, k = every k-th, 0 = fault tolerance disabled (a

@@ -58,13 +58,6 @@ enum class EventKind : std::uint8_t {
   /// references). Reconciles worker heaps the old head was mid-way through
   /// mutating — the dead head's bookkeeping for them is unrecoverable.
   TrimHeap,
-
-  /// New head -> workers: the authoritative live-worker set changed (a
-  /// runtime join/leave, or post-failover re-ranking). Informational on the
-  /// destination today (the head owns all placement decisions); carried as
-  /// an event so membership changes are acknowledged and ordered with the
-  /// data plane.
-  MembershipUpdate,
 };
 
 const char* to_string(EventKind k);
@@ -183,13 +176,6 @@ struct HeadStateHeader {
 /// in-flight Submit/Execute touches a block being freed.
 struct TrimHeapHeader {
   std::uint64_t keep_count = 0;  ///< vector<TargetPtr> follows
-};
-
-/// MembershipUpdate: the new live-worker table, positional (proc index ->
-/// rank), plus the current head rank.
-struct MembershipUpdateHeader {
-  mpi::Rank head = 0;
-  std::uint64_t worker_count = 0;  ///< vector<Rank> follows
 };
 
 /// Execute carries variable-length argument lists, serialized explicitly.

@@ -1,10 +1,8 @@
 #include "core/runtime.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <thread>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -352,11 +350,15 @@ void Runtime::report_worker_failure(mpi::Rank dead) {
   std::int64_t expected = 0;
   failure_detected_ns_.compare_exchange_strong(expected, now_ns(),
                                                std::memory_order_acq_rel);
-  failures_reported_.fetch_add(1, std::memory_order_acq_rel);
   // Abort in-flight events touching the corpse (helper threads unwind with
   // WorkerDiedError) and tell live workers to drop its pending exchanges.
   ev->fail_rank(dead);
   ev->announce_rank_dead(dead);
+  // Wake an idle serve loop, whose wait reads failure_pending_ too. Taking
+  // tenants_mutex_ orders the store above before its next predicate check,
+  // so the wakeup cannot be lost.
+  { std::lock_guard<std::mutex> lock(tenants_mutex_); }
+  tenants_cv_.notify_all();
 }
 
 void Runtime::rollback(mpi::Rank dead) {
@@ -394,11 +396,6 @@ void Runtime::rollback(mpi::Rank dead) {
   // idempotent, and covers the unreported-corpse path.
   for (mpi::Rank r : corpses) events_->fail_rank(r);
   stats_.workers_lost += static_cast<std::int64_t>(corpses.size());
-  // Arm the monitor's cascading-failure fallback even when the corpse was
-  // discovered by an event throw rather than a heartbeat report (the
-  // report path would have early-returned after this removal).
-  failures_reported_.fetch_add(static_cast<int>(corpses.size()),
-                               std::memory_order_acq_rel);
 
   OMPC_CHECK_MSG(!corpses.empty(),
                  "recovery triggered without a detected failure");
@@ -795,8 +792,9 @@ void Runtime::serve_tenants() {
       bool finished = false;
       {
         std::unique_lock<std::mutex> lock(tenants_mutex_);
-        tenants_cv_.wait_for(lock, std::chrono::milliseconds(2), [&] {
-          if (open_sessions_.load(std::memory_order_acquire) == 0)
+        tenants_cv_.wait(lock, [&] {
+          if (open_sessions_.load(std::memory_order_acquire) == 0 ||
+              failure_pending_.load(std::memory_order_acquire))
             return true;
           for (const auto& [id, ts] : tenants_) {
             (void)id;
@@ -1146,7 +1144,6 @@ void Runtime::failover() {
   dm_.reset_all_to_host();
   ckpt_.restore(dm_);
   absorb_degraded_restore();
-  broadcast_membership();
 
   ++stats_.recoveries;
   stats_.recovery_ns += timer.elapsed_ns();
@@ -1231,31 +1228,6 @@ void Runtime::trim_worker_heaps() {
       acks.push_back(events_->start(r, EventKind::TrimHeap, w.take()));
     } catch (const WorkerDiedError&) {
       // Died under the trim command; the liveness sweep picks it up.
-    }
-  }
-  for (const OriginEventPtr& ev : acks) {
-    try {
-      ev->wait();
-    } catch (const WorkerDiedError&) {
-    }
-  }
-}
-
-void Runtime::broadcast_membership() {
-  ArchiveWriter w;
-  MembershipUpdateHeader h;
-  h.head = head_rank_;
-  h.worker_count = live_workers_.size();
-  w.put(h);
-  for (const mpi::Rank r : live_workers_) w.put(r);
-  const Bytes header = w.take();
-  std::vector<OriginEventPtr> acks;
-  for (const mpi::Rank r : live_workers_) {
-    if (events_->is_rank_gone(r)) continue;
-    try {
-      acks.push_back(
-          events_->start(r, EventKind::MembershipUpdate, Bytes(header)));
-    } catch (const WorkerDiedError&) {
     }
   }
   for (const OriginEventPtr& ev : acks) {
@@ -1363,7 +1335,6 @@ void Runtime::process_membership_requests() {
     // ChannelPlan (its shapes name ranks): both invalidate together.
     schedule_cache_.clear();
     dm_.disarm_channels();
-    broadcast_membership();
     // Membership is head state: resync the replica eagerly so a failover
     // in the very next wave sees the new table.
     shadow_rank_ = -1;
@@ -1397,9 +1368,6 @@ RuntimeStats launch(const ClusterOptions& opts,
   HeartbeatRing::Options hb_opts;
   hb_opts.period_ms = opts.heartbeat_period_ms;
   hb_opts.timeout_ms = opts.heartbeat_timeout_ms;
-  hb_opts.adaptive = opts.heartbeat_adaptive;
-  hb_opts.min_timeout_ms = opts.heartbeat_min_timeout_ms;
-  hb_opts.dev_factor = opts.heartbeat_dev_factor;
 
   // Election/replication rendezvous between the per-rank agents and the
   // surviving control thread (shared-memory stand-in for connection
@@ -1435,67 +1403,16 @@ RuntimeStats launch(const ClusterOptions& opts,
         ~ControlReleaser() { bus.release_control(); }
       } releaser{bus};
 
-      // §5 failure detection: the head sits in the heartbeat ring (catching
-      // its own predecessor's death) and runs a monitor thread collecting
-      // the reports other ring members send when *their* predecessor dies.
-      // Both paths funnel into report_worker_failure(), which arms the
-      // recovery machinery in wait_all().
-      std::unique_ptr<HeartbeatRing> ring;
-      std::thread monitor;
-      std::atomic<bool> monitor_stop{false};
-      std::mutex monitor_mutex;
-      std::condition_variable monitor_cv;
-      if (hb_on) {
-        mpi::Comm hb = ctx.comm(hb_comm_index);
-        ring = std::make_unique<HeartbeatRing>(
-            hb, hb_opts, [&rt, hb](mpi::Rank dead) {
-              // A dead head stops hearing pings too — that silence is the
-              // head's OWN death, not the predecessor's. The failover
-              // machinery owns detection from here.
-              if (!hb.universe().is_dead(0)) rt.report_worker_failure(dead);
-            });
-        monitor = std::thread([&, hb] {
-          log::set_thread_label("fmon");
-          while (!monitor_stop.load(std::memory_order_acquire)) {
-            // After the head dies the promoted rank's membership agent is
-            // the failure monitor; this thread must stop touching the
-            // runtime (it would race the control thread's adoption).
-            if (hb.universe().is_dead(0)) break;
-            try {
-              while (
-                  auto st = hb.iprobe(mpi::kAnySource, kFailureReportTag)) {
-                std::uint64_t dead = 0;
-                hb.recv(&dead, sizeof dead, st->source, kFailureReportTag);
-                rt.report_worker_failure(static_cast<mpi::Rank>(dead));
-              }
-            } catch (const mpi::RankKilledError&) {
-              break;  // own mailbox poisoned: the head just died
-            }
-            // Once the ring has a hole, a further corpse whose successor is
-            // already dead has no ring member left to flag it. Until the
-            // ring is re-linked around failures (ROADMAP), fall back to
-            // universe-level liveness for the cascading case only — the
-            // ring stays the sole detector of the first failure.
-            if (rt.failures_reported() > 0) {
-              for (mpi::Rank r = 1; r <= opts.total_workers(); ++r) {
-                if (hb.universe().is_dead(r)) rt.report_worker_failure(r);
-              }
-            }
-            // Drain with a short bounded wait, not a full heartbeat period:
-            // a report now reaches recovery within ~1 ms of arriving
-            // instead of adding up to heartbeat_period_ms of detection
-            // latency on top of the ring timeout. The cv (paired with the
-            // shutdown path, which notifies under monitor_mutex) lets stop
-            // take effect immediately instead of after the timeout.
-            std::unique_lock<std::mutex> lock(monitor_mutex);
-            monitor_cv.wait_for(lock, std::chrono::milliseconds(1),
-                                [&monitor_stop] {
-                                  return monitor_stop.load(
-                                      std::memory_order_acquire);
-                                });
-          }
-        });
-      }
+      // §5 failure detection: the head runs the same membership agent as
+      // every worker. Its ring catches its own predecessor's death, its
+      // loop collects the reports other ring members send, and both feed
+      // report_worker_failure(), which arms recovery in wait_all(). It
+      // holds no replica, so it never stands in an election.
+      std::unique_ptr<MembershipAgent> agent;
+      if (hb_on)
+        agent = std::make_unique<MembershipAgent>(
+            ctx.comm(hb_comm_index), hb_opts, &bus, nullptr,
+            [&rt](mpi::Rank dead) { rt.report_worker_failure(dead); });
       const std::int64_t startup_ns = startup.elapsed_ns();
 
       // Any head-side failure must still shut the workers down, or they
@@ -1512,9 +1429,9 @@ RuntimeStats launch(const ClusterOptions& opts,
       if (!error) {
         // A worker can die in this very window (after the last wave,
         // before/while cleanup deletes its buffers) — which is why the
-        // ring and monitor are still running here: detection fails the
-        // blocked Delete events so this cannot hang. Capture the error so
-        // the live workers still get their Shutdown below.
+        // agent is still running here: detection fails the blocked Delete
+        // events so this cannot hang. Capture the error so the live
+        // workers still get their Shutdown below.
         try {
           rt.data_manager().cleanup_all();
         } catch (...) {
@@ -1525,15 +1442,7 @@ RuntimeStats launch(const ClusterOptions& opts,
       // silent one by one as they shut down must not read as failures.
       // (shutdown_cluster itself tolerates a rank dying mid-handshake by
       // polling liveness instead of blocking on the ack.)
-      if (ring) ring->stop();
-      if (monitor.joinable()) {
-        {
-          std::lock_guard<std::mutex> lock(monitor_mutex);
-          monitor_stop.store(true, std::memory_order_release);
-        }
-        monitor_cv.notify_all();
-        monitor.join();
-      }
+      if (agent) agent->stop();
       // Through the runtime's CURRENT event system: after a failover this
       // is the promoted rank's, and the dead head's own system already
       // stopped itself when its mailbox was poisoned. When the head died
@@ -1585,15 +1494,14 @@ RuntimeStats launch(const ClusterOptions& opts,
       EventSystem events(ctx, opts, &memory, &exec_pool, &replica);
       bus.register_node(ctx.rank(), &events, &replica);
       // Membership agent: heartbeat ring + failure-report routing to the
-      // *current* head + the head-death election (membership.hpp).
+      // *current* head + the head-death election (membership.hpp). Once
+      // this rank is promoted, its reports reach the control thread through
+      // the bus, which buffers them until failover() adopts this rank.
       std::unique_ptr<MembershipAgent> agent;
-      if (hb_on) {
-        MembershipAgent::Options aopts;
-        aopts.hb = hb_opts;
-        aopts.initial_head = 0;
-        agent = std::make_unique<MembershipAgent>(ctx.comm(hb_comm_index),
-                                                 aopts, &bus, &replica);
-      }
+      if (hb_on)
+        agent = std::make_unique<MembershipAgent>(
+            ctx.comm(hb_comm_index), hb_opts, &bus, &replica,
+            [&bus](mpi::Rank dead) { bus.report_failure(dead); });
       events.wait_until_stopped();
       if (agent) agent->stop();
       // A promoted worker's event system is being driven by the surviving

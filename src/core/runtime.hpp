@@ -291,17 +291,10 @@ class Runtime : private WaveRecorder {
 
   // --- fault handling ---------------------------------------------------
 
-  /// Failure-detector entry point (heartbeat ring / failure monitor
-  /// threads): declares `dead` failed, aborts in-flight events touching it
-  /// and arms recovery for the current/next wave. Thread-safe; idempotent.
+  /// Failure-detector entry point (the acting head's membership agent):
+  /// declares `dead` failed, aborts in-flight events touching it and arms
+  /// recovery for the current/next wave. Thread-safe; idempotent.
   void report_worker_failure(mpi::Rank dead);
-
-  /// Distinct worker failures accepted so far (thread-safe). The failure
-  /// monitor uses this to widen detection once the ring has holes: a
-  /// corpse's ring successor may itself be dead, leaving nobody to flag it.
-  int failures_reported() const noexcept {
-    return failures_reported_.load(std::memory_order_acquire);
-  }
 
   // --- elastic membership (head control thread) -------------------------
 
@@ -309,9 +302,8 @@ class Runtime : private WaveRecorder {
   /// spare_workers) join the worker set. Takes effect at the next wave
   /// boundary: the joiner receives an ownership slice of the registered
   /// buffers (migrated worker->worker over the data plane), the schedule
-  /// cache is invalidated so the next HEFT pass can place tasks on it, and
-  /// a MembershipUpdate is broadcast. Returns the joining rank, or -1 when
-  /// no spare is available.
+  /// cache is invalidated so the next HEFT pass can place tasks on it.
+  /// Returns the joining rank, or -1 when no spare is available.
   mpi::Rank request_join();
 
   /// Requests that worker `rank` leave the cluster. At the next boundary
@@ -423,9 +415,6 @@ class Runtime : private WaveRecorder {
   /// a clean slate that matches the adopted host-resident registry.
   void trim_worker_heaps();
 
-  /// Broadcasts a MembershipUpdate {head, worker_count} to live workers.
-  void broadcast_membership();
-
   /// Applies pending join/leave requests at a wave boundary.
   void process_membership_requests();
 
@@ -456,7 +445,6 @@ class Runtime : private WaveRecorder {
   std::mutex fault_mutex_;
   std::vector<mpi::Rank> reported_dead_;   ///< detected, not yet purged
   std::atomic<bool> failure_pending_{false};
-  std::atomic<int> failures_reported_{0};
   /// Start of the current recovery episode (first detection), 0 when none;
   /// run_with_recovery closes the episode when replay completes.
   std::atomic<std::int64_t> failure_detected_ns_{0};

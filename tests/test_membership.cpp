@@ -141,6 +141,23 @@ TEST(HeadFailover, HeadAndWorkerKilledInOneWindow) {
   EXPECT_GE(r.stats.workers_lost, 1);
 }
 
+TEST(HeadFailover, WorkerKilledAfterCompletedFailoverIsFound) {
+  // The head dies at 30 ms; rank 1 (the shadow) is promoted and the waves
+  // run on over ranks 2 and 3. Then rank 3 dies mid-wave. Its ring monitor
+  // was the dead head, so no ring flags it: only the promoted head's
+  // liveness sweep, armed by the head it replaced, can find it.
+  TaskBenchSpec spec = failover_spec(Pattern::Stencil1D);
+  spec.steps = 10;  // waves still run at the second kill
+  ClusterOptions opts = failover_opts(3);
+  opts.kills.push_back({0, at_ms(30)});
+  opts.kills.push_back({3, at_ms(250)});
+
+  const auto r = taskbench::run_ompc_stepwise(spec, opts);
+  EXPECT_EQ(r.checksum, expected_checksum(spec));
+  EXPECT_GE(r.stats.failovers, 1);
+  EXPECT_EQ(r.stats.workers_lost, 1);
+}
+
 TEST(HeadFailover, HeadKilledDuringWorkerRecoveryStillMatches) {
   // Worker 2 dies first; the head dies ~70 ms later, which lands inside
   // the detection/rollback window for worker 2 on a loaded box (snapshot

@@ -93,10 +93,10 @@ TEST(Proto, EventKindNamesAreDistinct) {
         EventKind::Retrieve, EventKind::Execute, EventKind::Shutdown,
         EventKind::RankDead, EventKind::SnapshotSave, EventKind::SnapshotDrop,
         EventKind::SnapshotFetch, EventKind::RmaPut, EventKind::HeadState,
-        EventKind::TrimHeap, EventKind::MembershipUpdate}) {
+        EventKind::TrimHeap}) {
     EXPECT_TRUE(names.insert(to_string(k)).second);
   }
-  EXPECT_EQ(names.size(), 14u);
+  EXPECT_EQ(names.size(), 13u);
 }
 
 }  // namespace

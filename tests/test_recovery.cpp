@@ -80,6 +80,28 @@ TEST(FaultInjection, KillIsIdempotentAndQueryable) {
 
 // --- end-to-end recovery over Task Bench --------------------------------
 
+// ThreadSanitizer slows the control plane roughly an order of magnitude
+// while sleep-based kernels keep real-time pace. Stretch both the task
+// lengths and the fault-injection instants by the same factor so every
+// kill still lands mid-wave.
+#if defined(__SANITIZE_THREAD__)
+#define OMPC_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define OMPC_TEST_TSAN 1
+#endif
+#endif
+#ifdef OMPC_TEST_TSAN
+constexpr std::int64_t kTimeScale = 8;
+#else
+constexpr std::int64_t kTimeScale = 1;
+#endif
+
+/// Fault-injection instant in ns, dilated for sanitized builds.
+constexpr std::int64_t at_ms(std::int64_t ms) {
+  return ms * 1'000'000 * kTimeScale;
+}
+
 ClusterOptions recovery_opts(int workers) {
   ClusterOptions o;
   o.num_workers = workers;
@@ -96,7 +118,7 @@ TaskBenchSpec recovery_spec(Pattern p) {
   s.width = 8;
   // Sleep-mode compute long enough that the wave is still executing when
   // the kill fires and the ring detects it (kill 30 ms + timeout 60 ms).
-  s.iterations = 4'000'000;  // 20 ms per task
+  s.iterations = 4'000'000 * kTimeScale;  // 20 ms per task
   s.output_bytes = 32;
   s.mode = KernelMode::Sleep;
   return s;
@@ -107,7 +129,7 @@ class RecoveryAcrossPatterns : public ::testing::TestWithParam<Pattern> {};
 TEST_P(RecoveryAcrossPatterns, KilledWorkerMidWaveChecksumStillMatches) {
   const TaskBenchSpec spec = recovery_spec(GetParam());
   ClusterOptions opts = recovery_opts(3);
-  opts.kills.push_back({2, 30'000'000});  // worker rank 2 dies at 30 ms
+  opts.kills.push_back({2, at_ms(30)});  // worker rank 2 dies at 30 ms
 
   const auto r = run_ompc(spec, opts);
   EXPECT_EQ(r.checksum, expected_checksum(spec))
@@ -128,10 +150,11 @@ INSTANTIATE_TEST_SUITE_P(AllPatterns, RecoveryAcrossPatterns,
 
 TEST(Recovery, CheckpointingDisabledRaisesRecoveryErrorNotHang) {
   TaskBenchSpec spec = recovery_spec(Pattern::Stencil1D);
-  spec.iterations = 8'000'000;  // 40 ms per task: outlive detection for sure
+  // 40 ms per task: outlive detection for sure.
+  spec.iterations = 8'000'000 * kTimeScale;
   ClusterOptions opts = recovery_opts(2);
   opts.checkpoint_period = 0;  // fault tolerance off
-  opts.kills.push_back({1, 20'000'000});
+  opts.kills.push_back({1, at_ms(20)});
 
   EXPECT_THROW(run_ompc(spec, opts), RecoveryError);
 }
@@ -139,7 +162,7 @@ TEST(Recovery, CheckpointingDisabledRaisesRecoveryErrorNotHang) {
 TEST(Recovery, SurvivorsAreReRankedOntoRemainingWorkers) {
   const TaskBenchSpec spec = recovery_spec(Pattern::Stencil1D);
   ClusterOptions opts = recovery_opts(3);
-  opts.kills.push_back({1, 30'000'000});  // kill the FIRST worker rank
+  opts.kills.push_back({1, at_ms(30)});  // kill the FIRST worker rank
 
   const auto r = run_ompc(spec, opts);
   EXPECT_EQ(r.checksum, expected_checksum(spec));
@@ -148,10 +171,11 @@ TEST(Recovery, SurvivorsAreReRankedOntoRemainingWorkers) {
 
 TEST(Recovery, HeadDetectsItsOwnRingPredecessorDying) {
   // The last rank is the head's ring predecessor: its death is detected by
-  // the head's own HeartbeatRing rather than via a worker report.
+  // the ring of the head's own membership agent rather than via a worker
+  // report.
   const TaskBenchSpec spec = recovery_spec(Pattern::Tree);
   ClusterOptions opts = recovery_opts(3);
-  opts.kills.push_back({3, 30'000'000});  // rank 3 = last worker
+  opts.kills.push_back({3, at_ms(30)});  // rank 3 = last worker
 
   const auto r = run_ompc(spec, opts);
   EXPECT_EQ(r.checksum, expected_checksum(spec));
@@ -161,14 +185,15 @@ TEST(Recovery, HeadDetectsItsOwnRingPredecessorDying) {
 
 TEST(Recovery, CascadingFailureWithDeadRingSuccessorStillRecovers) {
   // Kill rank 3 first, then rank 2 — whose ring successor (3) is already a
-  // corpse, so no ring member can flag it. The head's failure monitor must
-  // catch it through the post-failure liveness fallback; the run finishes
-  // on the sole survivor with correct results.
+  // corpse, so no ring member can flag it. The head's membership agent
+  // must catch it through the post-failure liveness fallback; the run
+  // finishes on the sole survivor with correct results.
   TaskBenchSpec spec = recovery_spec(Pattern::Stencil1D);
-  spec.iterations = 6'000'000;  // 30 ms tasks: outlive both detections
+  // 30 ms tasks: outlive both detections.
+  spec.iterations = 6'000'000 * kTimeScale;
   ClusterOptions opts = recovery_opts(3);
-  opts.kills.push_back({3, 30'000'000});
-  opts.kills.push_back({2, 150'000'000});
+  opts.kills.push_back({3, at_ms(30)});
+  opts.kills.push_back({2, at_ms(150)});
 
   const auto r = run_ompc(spec, opts);
   EXPECT_EQ(r.checksum, expected_checksum(spec));
@@ -185,7 +210,7 @@ TEST(Recovery, TwoStepDispatchKilledWorkerMidWaveStillRecovers) {
   const TaskBenchSpec spec = recovery_spec(Pattern::Stencil1D);
   ClusterOptions opts = recovery_opts(3);
   opts.async_mode = AsyncMode::TwoStep;
-  opts.kills.push_back({2, 30'000'000});
+  opts.kills.push_back({2, at_ms(30)});
 
   const auto r = run_ompc(spec, opts);
   EXPECT_EQ(r.checksum, expected_checksum(spec));
@@ -201,7 +226,7 @@ TEST(Recovery, TwoStepWideTrivialWaveRecoversAcrossLargeInFlightPool) {
   spec.width = 16;
   ClusterOptions opts = recovery_opts(3);
   opts.async_mode = AsyncMode::TwoStep;
-  opts.kills.push_back({1, 30'000'000});
+  opts.kills.push_back({1, at_ms(30)});
 
   const auto r = run_ompc(spec, opts);
   EXPECT_EQ(r.checksum, expected_checksum(spec));
