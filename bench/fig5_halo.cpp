@@ -1,13 +1,14 @@
-// Persistent-channel gate on the 3D halo-exchange workload (src/halo): the
-// steady-state iteration re-records the same wave every step, which is
-// exactly the shape the ChannelPlan pre-posts. Three measurements, gated in
-// CI (exit 1, BENCH_persistent.json):
+// Allocation-reuse gate on the 3D halo-exchange workload (src/halo): the
+// steady-state iteration re-records the same wave every step, so the
+// schedule cache hits and the ChannelPlan arms: stale replicas keep their
+// device blocks and the next wave re-fills them. Three measurements, gated
+// in CI (exit 1, BENCH_persistent.json):
 //   1. wire envelopes per steady-state iteration on BOTH transport
 //      conduits — exactly kEnvelopesPerIter (armed waves send no
-//      Delete/Alloc renegotiation traffic);
+//      Delete/Alloc round trips);
 //   2. iteration latency p50/p99 (reported), and the runs must report
 //      channels_armed and persistent_reuses > 0 (the plan is live);
-//   3. a worker killed while channels are armed: rollback invalidates the
+//   3. a worker killed while the plan is armed: rollback invalidates the
 //      plan and the recovered result stays bitwise-identical to the serial
 //      oracle.
 #include <algorithm>
@@ -76,7 +77,7 @@ int main() {
   bool ok = true;
   int status = 0;
 
-  std::printf("=== fig5_halo: persistent channels on 2x2x2 x %d^3 halo "
+  std::printf("=== fig5_halo: allocation reuse on 2x2x2 x %d^3 halo "
               "exchange, 4 workers, %d reps ===\n",
               spec.cells, reps);
 

@@ -110,19 +110,11 @@ void DataManager::submit_to(mpi::Rank worker, offload::TargetPtr dst,
   // Borrowed, not copied: run() blocks until the worker's completion,
   // which it sends only after the payload landed in its device buffer —
   // so b.host outlives the flight, and fetch_to_head_locked's coalescing
-  // keeps anyone from rewriting it meanwhile. With an armed plan the
-  // payload rides the edge's fixed channel tag ahead of the announce (the
-  // worker's pre-posted slot — or its unexpected queue — matches it).
-  const mpi::Tag ctag = channels_armed() ? channel_tag_for(b.host, worker) : 0;
+  // keeps anyone from rewriting it meanwhile.
   ArchiveWriter w;
-  w.put(SubmitHeader{dst, b.size, ctag});
-  if (ctag != 0) {
-    events_->send_data(worker, ctag, mpi::Payload::borrow(b.host, b.size));
-    events_->run(worker, EventKind::Submit, w.take());
-  } else {
-    events_->run(worker, EventKind::Submit, w.take(),
-                 mpi::Payload::borrow(b.host, b.size));
-  }
+  w.put(SubmitHeader{dst, b.size});
+  events_->run(worker, EventKind::Submit, w.take(),
+               mpi::Payload::borrow(b.host, b.size));
   stats_.submits.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -614,25 +606,6 @@ std::size_t DataManager::migrate_buffers(mpi::Rank joiner,
     ++migrated;
   }
   return migrated;
-}
-
-void DataManager::disarm_channels() {
-  channels_on_.store(false, std::memory_order_release);
-  // Retire the plan's fixed tags: a payload orphaned by the failure (sent,
-  // never received) must not be matchable by the next plan's channels —
-  // fresh tags keep recovery bitwise-identical to a transient run.
-  std::lock_guard<std::mutex> lock(channel_tag_mutex_);
-  channel_tags_.clear();
-}
-
-mpi::Tag DataManager::channel_tag_for(const void* host, mpi::Rank worker) {
-  std::lock_guard<std::mutex> lock(channel_tag_mutex_);
-  const auto key = std::make_pair(host, worker);
-  const auto it = channel_tags_.find(key);
-  if (it != channel_tags_.end()) return it->second;
-  const mpi::Tag t = events_->allocate_channel_tag();
-  channel_tags_.emplace(key, t);
-  return t;
 }
 
 void DataManager::mark_dirty(const void* host) {

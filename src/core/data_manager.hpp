@@ -190,21 +190,19 @@ class DataManager {
   /// the joiner's ownership slice. Returns the number of buffers moved.
   std::size_t migrate_buffers(mpi::Rank joiner, std::size_t take_every);
 
-  // --- persistent channels (the per-wave ChannelPlan) -------------------
+  // --- allocation reuse on cached waves (the per-wave ChannelPlan) ------
   //
   // Armed by the Runtime when the schedule cache hits (same structural
   // hash, same live-worker set): the steady-state wave shape is known, so
-  // (1) stale replicas keep their device allocations across write
-  // invalidations — the next wave's transfer re-uses the block instead of
-  // paying Delete+Alloc round-trips — and (2) repeated head-to-worker
-  // Submits ride fixed channel tags that the destination's pre-posted
-  // persistent receives match (see EventSystem's channel cache). Disarmed on
-  // rollback, membership change, head failover and tenant-set change; the
-  // fixed tags are retired with the plan so recovery can never match a
-  // stale in-flight payload, keeping re-execution bitwise-identical.
+  // stale replicas keep their device allocations across write
+  // invalidations and the next wave's transfer re-fills the block instead
+  // of paying Delete+Alloc round-trips. Disarmed on rollback, membership
+  // change, head failover and tenant-set change.
 
   void arm_channels() { channels_on_.store(true, std::memory_order_release); }
-  void disarm_channels();
+  void disarm_channels() {
+    channels_on_.store(false, std::memory_order_release);
+  }
   bool channels_armed() const {
     return channels_on_.load(std::memory_order_acquire);
   }
@@ -271,8 +269,6 @@ class DataManager {
   offload::TargetPtr alloc_on(mpi::Rank worker, BufferState& b);
 
   /// Submits the (valid) host copy into `worker`'s block at `dst`.
-  /// Armed plans ship the payload on the edge's fixed channel tag
-  /// (SubmitHeader::data_tag) so the worker's persistent receive matches.
   void submit_to(mpi::Rank worker, offload::TargetPtr dst, BufferState& b);
 
   /// Removes the replica on `worker`; requires b.lock held (no transfer in
@@ -304,11 +300,6 @@ class DataManager {
   /// Marks `host` as written since the last checkpoint.
   void mark_dirty(const void* host);
 
-  /// The fixed wire tag of the head-to-`worker` Submit edge of `host`.
-  /// Allocated from the channel space on first use, stable until
-  /// disarm_channels() retires the plan.
-  mpi::Tag channel_tag_for(const void* host, mpi::Rank worker);
-
   EventSystem* events_;
   const ClusterOptions opts_;
 
@@ -318,11 +309,7 @@ class DataManager {
   mutable std::mutex dirty_mutex_;
   std::unordered_set<const void*> dirty_;
 
-  // ChannelPlan state: the armed flag plus the fixed-tag table of the
-  // current plan's transfer edges.
-  std::atomic<bool> channels_on_{false};
-  mutable std::mutex channel_tag_mutex_;
-  std::map<std::pair<const void*, mpi::Rank>, mpi::Tag> channel_tags_;
+  std::atomic<bool> channels_on_{false};  ///< the ChannelPlan is armed
 
   /// Shared transfer pool for prepare_args fan-out — created with the
   /// manager (once per launch, like the dispatch pool). Elastic: capped at

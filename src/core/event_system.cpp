@@ -92,13 +92,6 @@ void WorkerMemory::register_window(offload::TargetPtr ptr) {
   universe_->windows().create(rank_, ptr, reinterpret_cast<void*>(ptr), n);
 }
 
-std::shared_ptr<const void> WorkerMemory::pin(offload::TargetPtr ptr) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = live_.find(ptr);
-  OMPC_CHECK_MSG(it != live_.end(), "pin of unknown device ptr " << ptr);
-  return std::shared_ptr<const void>(it->second.mem, it->second.mem.get());
-}
-
 mpi::Payload WorkerMemory::share(offload::TargetPtr ptr,
                                  std::size_t size) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -213,11 +206,6 @@ EventSystem::EventSystem(mpi::RankContext& ctx, const ClusterOptions& opts,
   waker_->es = this;
   OMPC_CHECK_MSG(ctx.universe().options().comms >= 1 + opts.vci,
                  "universe must pre-create 1 control + vci data comms");
-  OMPC_CHECK_MSG(rank_ < kMaxChannelRanks,
-                 "rank " << rank_ << " exceeds the channel-tag stripe count "
-                         << kMaxChannelRanks);
-  next_channel_tag_.store(kChannelTagBase + rank_ * kChannelTagsPerRank,
-                          std::memory_order_relaxed);
   data_comms_.reserve(static_cast<std::size_t>(opts.vci));
   for (int i = 0; i < opts.vci; ++i)
     data_comms_.push_back(ctx.comm(1 + i));
@@ -264,20 +252,8 @@ mpi::Comm EventSystem::data_comm_for(mpi::Tag tag) const {
 
 mpi::Tag EventSystem::allocate_tag() {
   mpi::Tag t = next_tag_.fetch_add(1, std::memory_order_relaxed);
-  OMPC_CHECK_MSG(t < kChannelTagBase, "event tag space exhausted");
+  OMPC_CHECK_MSG(t <= mpi::kMaxUserTag, "event tag space exhausted");
   return t;
-}
-
-mpi::Tag EventSystem::allocate_channel_tag() {
-  const mpi::Tag t = next_channel_tag_.fetch_add(1, std::memory_order_relaxed);
-  OMPC_CHECK_MSG(t < kChannelTagBase + (rank_ + 1) * kChannelTagsPerRank,
-                 "channel tag space exhausted for rank " << rank_);
-  return t;
-}
-
-void EventSystem::send_data(mpi::Rank dest, mpi::Tag tag,
-                            mpi::Payload payload) {
-  data_comm_for(tag).isend_payload(std::move(payload), dest, tag);
 }
 
 OriginEventPtr EventSystem::start(mpi::Rank dest, EventKind kind, Bytes header,
@@ -516,10 +492,6 @@ void EventSystem::gate_main() {
             std::lock_guard<std::mutex> lock(origin_mutex_);
             dead_ranks_.insert(h.rank);
           }
-          // Any cached channel shape may involve the corpse, and the head
-          // retires every channel tag on recovery anyway: drop the cache
-          // wholesale so no pre-posted slot outlives the failure.
-          clear_channels();
           // Re-queue events parked on pending I/O so each re-tests its
           // request: one the death failed settles instead of staying parked.
           wake_all_parked();
@@ -587,8 +559,9 @@ void EventSystem::handler_main(int /*index*/) {
     }
     // Pending I/O (step 5b, Fig 3): park the event; the completion hook of
     // the request it waits on re-queues it. Read the request before
-    // parking — once parked, another handler may own the event.
-    const auto waits_on = parks ? pending_request(ev) : nullptr;
+    // parking — once parked, another handler may own the event. TrimHeap
+    // has none: it waits for the handlers to go idle instead.
+    const auto waits_on = parks ? ev.io.state() : nullptr;
     std::uint64_t id = 0;
     bool notify_all = false;
     {
@@ -620,13 +593,6 @@ void EventSystem::handler_main(int /*index*/) {
       });
     }
   }
-}
-
-std::shared_ptr<mpi::detail::RequestState> EventSystem::pending_request(
-    const RemoteEvent& ev) {
-  if (ev.put_channel != nullptr) return ev.put_channel->pr.state();
-  if (ev.recv_channel != nullptr) return ev.recv_channel->pr.state();
-  return ev.io.state();
 }
 
 void EventSystem::wake(std::uint64_t id) {
@@ -678,135 +644,6 @@ void EventSystem::send_completion(mpi::Rank to, mpi::Tag tag, Bytes result) {
   control_.isend_bytes(c.serialize(), to, kTagComplete);
 }
 
-// --- persistent channels -------------------------------------------------
-
-std::shared_ptr<EventSystem::PutChannel> EventSystem::arm_put_channel(
-    const RmaPutHeader& h, mpi::Tag tag) {
-  const PutKey key{h.peer, h.win, h.offset, h.src, h.size};
-  std::shared_ptr<PutChannel> ch;
-  {
-    std::lock_guard<std::mutex> lock(channel_mutex_);
-    const auto it = put_channels_.find(key);
-    if (it != put_channels_.end()) {
-      if (it->second->in_use) return nullptr;  // same shape twice in flight
-      ch = it->second;
-      ch->in_use = true;
-    }
-  }
-  if (ch == nullptr) {
-    // Build outside the lock: put_init pre-resolves the peer's window. The
-    // pin keeps the source block alive across cycles AND keeps its address
-    // unique — the allocator cannot reuse it while the channel exists.
-    try {
-      auto keepalive = memory_->pin(h.src);
-      auto pr = data_comm_for(tag).put_init(
-          h.peer, h.win, h.offset, reinterpret_cast<const void*>(h.src),
-          h.size, std::move(keepalive), tag);
-      ch = std::make_shared<PutChannel>();
-      ch->pr = std::move(pr);
-      ch->in_use = true;
-      std::lock_guard<std::mutex> lock(channel_mutex_);
-      // A raced twin just means our entry goes uncached (used once).
-      put_channels_.emplace(key, ch);
-    } catch (...) {
-      return nullptr;  // window gone / block gone: transient put handles it
-    }
-  }
-  try {
-    ch->pr.start();
-  } catch (...) {
-    // Sticky kill (peer died between cycles) or an arm failure: retire the
-    // channel and let the transient path resolve this event's outcome.
-    std::lock_guard<std::mutex> lock(channel_mutex_);
-    const auto it = put_channels_.find(key);
-    if (it != put_channels_.end() && it->second == ch) put_channels_.erase(it);
-    ch->in_use = false;
-    return nullptr;
-  }
-  return ch;
-}
-
-std::shared_ptr<EventSystem::RecvChannel> EventSystem::arm_recv_channel(
-    mpi::Tag data_tag, offload::TargetPtr dst, std::uint64_t size,
-    mpi::Rank peer) {
-  std::shared_ptr<RecvChannel> ch;
-  {
-    std::lock_guard<std::mutex> lock(channel_mutex_);
-    const auto it = recv_channels_.find(data_tag);
-    if (it != recv_channels_.end()) {
-      RecvChannel& e = *it->second;
-      if (e.in_use) return nullptr;
-      if (e.dst == dst && e.size == size && e.peer == peer) {
-        ch = it->second;
-        ch->in_use = true;
-      } else {
-        // The destination block moved (realloc after a disarm): rebuild.
-        recv_channels_.erase(it);
-      }
-    }
-  }
-  if (ch == nullptr) {
-    try {
-      ch = std::make_shared<RecvChannel>();
-      ch->dst = dst;
-      ch->size = size;
-      ch->peer = peer;
-      ch->pr = data_comm_for(data_tag).recv_init(
-          reinterpret_cast<void*>(dst), size, peer, data_tag);
-      ch->in_use = true;
-      std::lock_guard<std::mutex> lock(channel_mutex_);
-      recv_channels_[data_tag] = ch;
-    } catch (...) {
-      return nullptr;
-    }
-  }
-  try {
-    ch->pr.start();
-  } catch (...) {
-    // Peer already dead (RankKilledError): fall back to the transient
-    // irecv, whose dead-peer abort path acks the event.
-    std::lock_guard<std::mutex> lock(channel_mutex_);
-    const auto it = recv_channels_.find(data_tag);
-    if (it != recv_channels_.end() && it->second == ch)
-      recv_channels_.erase(it);
-    ch->in_use = false;
-    return nullptr;
-  }
-  return ch;
-}
-
-bool EventSystem::free_block(offload::TargetPtr p) {
-  {
-    // Channels reading or landing in the doomed block die with it (their
-    // pins release once no cycle is in flight).
-    std::lock_guard<std::mutex> lock(channel_mutex_);
-    for (auto it = put_channels_.begin(); it != put_channels_.end();) {
-      if (std::get<3>(it->first) == p)
-        it = put_channels_.erase(it);
-      else
-        ++it;
-    }
-    for (auto it = recv_channels_.begin(); it != recv_channels_.end();) {
-      if (it->second->dst == p)
-        it = recv_channels_.erase(it);
-      else
-        ++it;
-    }
-  }
-  return memory_->try_free(p);
-}
-
-std::size_t EventSystem::cached_channels() const {
-  std::lock_guard<std::mutex> lock(channel_mutex_);
-  return put_channels_.size() + recv_channels_.size();
-}
-
-void EventSystem::clear_channels() {
-  std::lock_guard<std::mutex> lock(channel_mutex_);
-  put_channels_.clear();
-  recv_channels_.clear();
-}
-
 bool EventSystem::progress(RemoteEvent& ev) {
   const EventAnnounce& a = ev.announce;
   ArchiveReader header(a.header);
@@ -823,49 +660,20 @@ bool EventSystem::progress(RemoteEvent& ev) {
     case EventKind::Delete: {
       const auto h = header.get<DeleteHeader>();
       OMPC_CHECK(memory_ != nullptr);
-      OMPC_CHECK_MSG(free_block(h.ptr),
-                     "worker double free of device ptr " << h.ptr);
+      memory_->free(h.ptr);
       send_completion(a.origin, a.tag, {});
       return true;
     }
     case EventKind::Submit: {
+      // The payload travels on the event's own tag and was sent before the
+      // announce, so the irecv always matches it.
       const auto h = header.get<SubmitHeader>();
       if (ev.phase == 0) {
-        if (h.data_tag >= kChannelTagBase) {
-          ev.recv_channel =
-              arm_recv_channel(h.data_tag, h.dst, h.size, a.origin);
-          if (ev.recv_channel != nullptr) ev.phase = 2;
-        }
-        if (ev.phase == 0) {
-          // Transient slot; a non-zero data_tag still names the payload's
-          // wire tag (the origin armed, we could not).
-          const mpi::Tag t = h.data_tag != 0 ? h.data_tag : a.tag;
-          ev.io = data_comm_for(t).irecv(reinterpret_cast<void*>(h.dst),
-                                         h.size, a.origin, t);
-          ev.phase = 1;
-        }
+        ev.io = data_comm_for(a.tag).irecv(reinterpret_cast<void*>(h.dst),
+                                           h.size, a.origin, a.tag);
+        ev.phase = 1;
       }
-      if (ev.phase == 2) {
-        try {
-          if (!ev.recv_channel->pr.test()) return false;
-        } catch (const mpi::RankKilledError& e) {
-          if (e.rank() == rank_) throw;
-          // The origin died with the cycle armed: the mailbox failed the
-          // pre-posted slot (never a zombie). Retire the channel and ack;
-          // the promoted head drops this completion as late.
-          std::lock_guard<std::mutex> lock(channel_mutex_);
-          const auto it = recv_channels_.find(h.data_tag);
-          if (it != recv_channels_.end() && it->second == ev.recv_channel)
-            recv_channels_.erase(it);
-        }
-        {
-          std::lock_guard<std::mutex> lock(channel_mutex_);
-          ev.recv_channel->in_use = false;
-        }
-        ev.recv_channel.reset();
-      } else {
-        if (!ev.io.test()) return false;
-      }
+      if (!ev.io.test()) return false;
       send_completion(a.origin, a.tag, {});
       return true;
     }
@@ -895,7 +703,7 @@ bool EventSystem::progress(RemoteEvent& ev) {
       // Tolerant: a head promoted from a one-boundary-stale replica may
       // drop shadows this rank released under the old head (orphan sweeps
       // after the generation the replica never saw). Ack the no-op.
-      if (!free_block(h.ptr))
+      if (!memory_->try_free(h.ptr))
         OMPC_LOG_DEBUG("snapshot drop of unknown shadow "
                        << h.ptr << " (stale post-failover state) ignored");
       send_completion(a.origin, a.tag, {});
@@ -905,44 +713,20 @@ bool EventSystem::progress(RemoteEvent& ev) {
       const auto h = header.get<RmaPutHeader>();
       OMPC_CHECK(memory_ != nullptr);
       if (ev.phase == 0) {
-        // Steady-state fast path: a re-armed put into the pre-resolved
-        // window — no fresh request state, no re-registration.
-        ev.put_channel = arm_put_channel(h, a.tag);
-        if (ev.put_channel != nullptr) {
-          ev.phase = 2;
-        } else {
-          // One-sided forward: put straight into the peer's registered
-          // block. The payload shares our device memory (zero-copy
-          // source); the request completes when the peer acked the
-          // landing.
-          ev.io = data_comm_for(a.tag).put(
-              h.peer, h.win, h.offset, memory_->share(h.src, h.size), a.tag);
-          ev.phase = 1;
-        }
+        // One-sided forward: put straight into the peer's registered block.
+        // The payload shares our device memory (zero-copy source); the
+        // request completes when the peer acked the landing.
+        ev.io = data_comm_for(a.tag).put(h.peer, h.win, h.offset,
+                                         memory_->share(h.src, h.size), a.tag);
+        ev.phase = 1;
       }
       try {
-        if (ev.phase == 2) {
-          if (!ev.put_channel->pr.test()) return false;
-        } else {
-          if (!ev.io.test()) return false;
-        }
+        if (!ev.io.test()) return false;
       } catch (const mpi::RankKilledError& e) {
         // The peer died mid-put (our own death rethrows to handler_main).
         // Ack anyway so this event drains; the head has already failed the
         // origin half, which drops this completion as late.
         if (e.rank() == rank_) throw;
-        if (ev.phase == 2) {
-          std::lock_guard<std::mutex> lock(channel_mutex_);
-          const PutKey key{h.peer, h.win, h.offset, h.src, h.size};
-          const auto it = put_channels_.find(key);
-          if (it != put_channels_.end() && it->second == ev.put_channel)
-            put_channels_.erase(it);
-        }
-      }
-      if (ev.put_channel != nullptr) {
-        std::lock_guard<std::mutex> lock(channel_mutex_);
-        ev.put_channel->in_use = false;
-        ev.put_channel.reset();
       }
       send_completion(a.origin, a.tag, {});
       return true;
@@ -981,7 +765,7 @@ bool EventSystem::progress(RemoteEvent& ev) {
         keep.insert(header.get<offload::TargetPtr>());
       OMPC_CHECK(memory_ != nullptr);
       for (const offload::TargetPtr p : memory_->blocks())
-        if (keep.count(p) == 0) free_block(p);
+        if (keep.count(p) == 0) memory_->try_free(p);
       send_completion(a.origin, a.tag, {});
       return true;
     }

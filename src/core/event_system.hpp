@@ -18,11 +18,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -78,12 +76,6 @@ class WorkerMemory {
   /// Zero-copy read view of the allocation starting at `ptr` (must be a
   /// block base), pinned for the payload's lifetime.
   mpi::Payload share(offload::TargetPtr ptr, std::size_t size) const;
-
-  /// Pins the block at `ptr` (must be a block base) for the life of the
-  /// returned handle. Persistent put channels hold one per cycle source:
-  /// while pinned the allocator can never hand the address out again, so a
-  /// cached channel keyed by address cannot alias a future block.
-  std::shared_ptr<const void> pin(offload::TargetPtr ptr) const;
 
   /// Addresses of every live block (TrimHeap frees all but a keep-set).
   std::vector<offload::TargetPtr> blocks() const;
@@ -201,17 +193,6 @@ class EventSystem {
   /// Fresh event tag (unique per origin rank).
   mpi::Tag allocate_tag();
 
-  /// Fresh persistent-channel tag from this rank's slice of the reserved
-  /// top-of-range channel space (see kChannelTagBase). Striped per rank so
-  /// a promoted head can never re-issue a tag the dead head's orphaned
-  /// payloads still carry.
-  mpi::Tag allocate_channel_tag();
-
-  /// Ships `payload` to `dest` on the data comm selected by `tag`, outside
-  /// any event. The persistent Submit path uses this to put the payload on
-  /// a fixed channel tag (SubmitHeader::data_tag) instead of the event tag.
-  void send_data(mpi::Rank dest, mpi::Tag tag, mpi::Payload payload);
-
   // --- fault handling (paper §5) ---------------------------------------
 
   /// Declares `dead` failed: every origin event whose destination or
@@ -220,8 +201,8 @@ class EventSystem {
   /// Thread-safe; called by the failure detector on the head.
   void fail_rank(mpi::Rank dead);
 
-  /// Head only: tells every live worker that `dead` died, so they drop
-  /// their channel caches and re-test parked events that involve it.
+  /// Head only: tells every live worker that `dead` died, so they re-test
+  /// parked events that involve it.
   void announce_rank_dead(mpi::Rank dead);
 
   /// Whether `r` has been declared dead (local knowledge).
@@ -254,37 +235,7 @@ class EventSystem {
   const EventSystemStats& stats() const { return stats_; }
   mpi::Rank rank() const noexcept { return rank_; }
 
-  /// Entries in the persistent-channel cache (put + recv channels). A
-  /// gauge: bounded by the live blocks, not by the number of waves run.
-  std::size_t cached_channels() const;
-
  private:
-  // --- persistent channels (destination side) --------------------------
-  //
-  // Caches of re-armable minimpi requests keyed by the wave structure, so
-  // a steady-state wave re-uses its pre-posted receives and pre-armed puts
-  // instead of allocating fresh mailbox slots and re-resolving windows.
-  // Entries are shared_ptrs: eviction detaches an entry from the cache
-  // while the handler mid-cycle keeps it alive until the cycle settles.
-
-  /// Pre-armed one-sided put, keyed by its full wire shape.
-  struct PutChannel {
-    mpi::PersistentRequest pr;
-    bool in_use = false;  ///< a handler owns the current cycle
-  };
-  /// (peer, win, offset, src, size) — the RmaPutHeader fields.
-  using PutKey = std::tuple<mpi::Rank, offload::TargetPtr, std::uint64_t,
-                            offload::TargetPtr, std::uint64_t>;
-
-  /// Pre-posted receive on a fixed channel tag (Submit).
-  struct RecvChannel {
-    mpi::PersistentRequest pr;
-    offload::TargetPtr dst = 0;
-    std::uint64_t size = 0;
-    mpi::Rank peer = -1;
-    bool in_use = false;
-  };
-
   /// Destination half of an event (the E_D of Figure 3).
   struct RemoteEvent {
     EventAnnounce announce;
@@ -292,42 +243,10 @@ class EventSystem {
     int phase = 0;
     mpi::Request io;  ///< pending irecv (Submit, HeadState) or put (RmaPut)
     std::shared_ptr<Bytes> blob;  ///< HeadState payload landing buffer
-    std::shared_ptr<PutChannel> put_channel;    ///< phase 2: persistent put
-    std::shared_ptr<RecvChannel> recv_channel;  ///< phase 2: persistent recv
   };
-
-  /// Finds-or-creates and start()s the put channel for `h`; null means
-  /// fall back to a transient put this time (channel busy, window gone,
-  /// peer dead). `tag` seeds a fresh channel's comm/accounting tag.
-  std::shared_ptr<PutChannel> arm_put_channel(const RmaPutHeader& h,
-                                              mpi::Tag tag);
-
-  /// Finds-or-creates and start()s the recv channel on `data_tag` (shape
-  /// mismatches rebuild the entry — the destination block moved); null
-  /// means fall back to a transient irecv this time.
-  std::shared_ptr<RecvChannel> arm_recv_channel(mpi::Tag data_tag,
-                                                offload::TargetPtr dst,
-                                                std::uint64_t size,
-                                                mpi::Rank peer);
-
-  /// Frees the local block at `p` (false: unknown address) after dropping
-  /// every cached channel that reads from or lands in it. Every block free
-  /// (Delete, SnapshotDrop, TrimHeap) goes through here: a cached channel
-  /// pins its source block, so a free that skipped the eviction would keep
-  /// the block alive until the launch ends.
-  bool free_block(offload::TargetPtr p);
-
-  /// Drops the whole channel cache (RankDead: any cached shape may involve
-  /// the corpse, and post-recovery tags are fresh anyway).
-  void clear_channels();
 
   void gate_main();
   void handler_main(int index);
-
-  /// The request a pending event waits on; null for TrimHeap, which waits
-  /// for the handlers to go idle instead.
-  static std::shared_ptr<mpi::detail::RequestState> pending_request(
-      const RemoteEvent& ev);
 
   /// Completion hook target: moves parked event `id` back onto the queue
   /// (no-op if it is no longer parked).
@@ -371,13 +290,6 @@ class EventSystem {
   std::unordered_map<mpi::Tag, OriginEventPtr> origin_events_;
   std::unordered_set<mpi::Rank> dead_ranks_;
   std::atomic<mpi::Tag> next_tag_{kFirstEventTag};
-  std::atomic<mpi::Tag> next_channel_tag_{0};  ///< set per rank in the ctor
-
-  // Channel caches (see the structs above). The mutex guards the maps and
-  // the in_use flags; a cycle in flight is owned by exactly one handler.
-  mutable std::mutex channel_mutex_;
-  std::map<PutKey, std::shared_ptr<PutChannel>> put_channels_;
-  std::unordered_map<mpi::Tag, std::shared_ptr<RecvChannel>> recv_channels_;
 
   // Local destination-event queue and parked events, all under
   // queue_mutex_. active_events_ counts events currently inside progress()

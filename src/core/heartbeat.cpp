@@ -31,8 +31,12 @@ HeartbeatRing::HeartbeatRing(mpi::Comm comm, Options opts,
 HeartbeatRing::~HeartbeatRing() { stop(); }
 
 void HeartbeatRing::stop() {
-  bool expected = false;
-  if (!stop_.compare_exchange_strong(expected, true)) return;
+  {
+    std::lock_guard<std::mutex> lock(stop_mutex_);
+    if (stop_) return;
+    stop_ = true;
+  }
+  stop_cv_.notify_all();
   thread_.join();
 }
 
@@ -57,7 +61,7 @@ void HeartbeatRing::ring_main() {
     threshold_ns_.store(threshold_ns, std::memory_order_relaxed);
   };
 
-  while (!stop_.load(std::memory_order_relaxed)) {
+  for (;;) {
     // A dead rank's ring is gone with it: it must not read its own
     // silence as its predecessor's death.
     if (comm_.universe().is_dead(comm_.rank())) return;
@@ -99,7 +103,10 @@ void HeartbeatRing::ring_main() {
       // the recv landed). The ring dies with the rank — nothing to report.
       return;
     }
-    precise_sleep_ns(period_ns);
+    std::unique_lock<std::mutex> lock(stop_mutex_);
+    if (stop_cv_.wait_for(lock, std::chrono::nanoseconds(period_ns),
+                          [this] { return stop_; }))
+      return;
   }
 }
 

@@ -10,8 +10,10 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <thread>
 
 #include "minimpi/mpi.hpp"
@@ -55,6 +57,8 @@ class HeartbeatRing {
   HeartbeatRing(const HeartbeatRing&) = delete;
   HeartbeatRing& operator=(const HeartbeatRing&) = delete;
 
+  /// Returns once the ring thread has exited; it wakes at once, not at
+  /// the end of its current period.
   void stop();
 
   /// Simulates this node going silent (its successor will flag it).
@@ -83,7 +87,11 @@ class HeartbeatRing {
   mpi::Rank prev_ = 0;
   mpi::Rank next_ = 0;
 
-  std::atomic<bool> stop_{false};
+  // The ring thread sleeps each period on stop_cv_, which stop() notifies.
+  std::mutex stop_mutex_;
+  std::condition_variable stop_cv_;
+  bool stop_ = false;
+
   std::atomic<bool> paused_{false};
   std::atomic<bool> failed_{false};
   std::atomic<std::int64_t> threshold_ns_{0};

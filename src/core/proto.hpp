@@ -75,33 +75,14 @@ enum ControlTag : mpi::Tag {
 /// event data message and none of the control traffic.
 inline constexpr mpi::Tag kFirstEventTag = mpi::kFirstDataTag;
 
-/// Persistent-channel tag space: the top 2^20 user tags are reserved for
-/// pre-posted wave-shape channels (EventSystem::allocate_channel_tag).
-/// Ordinary event tags (allocate_tag) stay strictly below this base, so a
-/// channel's fixed (rank, tag) shape can never match transient traffic.
-inline constexpr mpi::Tag kChannelTagBase = mpi::kMaxUserTag - (1 << 20) + 1;
-
-/// Channel tags are striped per origin rank (rank r allocates from
-/// [base + r * stripe, base + (r+1) * stripe)), so a head promoted after a
-/// failover can never re-issue a tag whose orphaned payloads — sent under
-/// the dead head — might still sit in a worker's unexpected queue.
-inline constexpr mpi::Tag kChannelTagsPerRank = 1 << 14;
-inline constexpr int kMaxChannelRanks = (1 << 20) / kChannelTagsPerRank;
-
 // Layout invariants of the tag map. Control tags are pairwise distinct and
-// below the data boundary; event tags start at the boundary; channel tags
-// occupy the top of the user range without touching the collective space.
+// below the data boundary; event tags run from the boundary to the top of
+// the user range without touching the collective space.
 static_assert(kTagNewEvent != kTagComplete);
 static_assert(kTagNewEvent > 0 && kTagComplete < mpi::kFirstDataTag,
               "control tags must stay below the data-tag boundary");
 static_assert(kFirstEventTag >= mpi::kFirstDataTag,
               "event data tags must be visible to copy accounting");
-static_assert(kFirstEventTag < kChannelTagBase &&
-                  kChannelTagBase <= mpi::kMaxUserTag,
-              "channel tags must not overlap transient event tags");
-static_assert(kChannelTagBase + kMaxChannelRanks * kChannelTagsPerRank - 1 ==
-                  mpi::kMaxUserTag,
-              "per-rank channel stripes must tile the channel space exactly");
 
 // --- event headers (serialized into the new-event notification) ---------
 
@@ -116,10 +97,6 @@ struct DeleteHeader {
 struct SubmitHeader {
   offload::TargetPtr dst = 0;
   std::uint64_t size = 0;
-  /// Non-zero: the payload travels on this fixed channel tag instead of the
-  /// event's own tag, so the destination's pre-posted persistent receive
-  /// (ChannelPlan) matches it without a fresh mailbox slot. 0 = transient.
-  mpi::Tag data_tag = 0;
 };
 
 struct RetrieveHeader {
@@ -142,7 +119,7 @@ struct SnapshotDropHeader {
 };
 
 /// Broadcast by the head after the failure detector declares a rank dead so
-/// workers drop their cached channels and re-test events parked on I/O.
+/// workers re-test events parked on I/O.
 struct RankDeadHeader {
   mpi::Rank rank = -1;
 };

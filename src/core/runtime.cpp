@@ -299,18 +299,16 @@ void Runtime::run_wave(const ClusterGraph& graph, bool prefetch) {
     note_cache_hit(graph.tenant());
     stats_.makespan_estimate_s = it->second.makespan_estimate_s;
     // Steady state: the wave shape is known (same structural hash, same
-    // live-worker set — both in the cache key), so arm the ChannelPlan.
-    // The dispatched transfers ride pre-posted persistent receives and
-    // pre-armed puts, and write invalidations keep device blocks for next
-    // wave's re-fill.
+    // live-worker set — both in the cache key), so arm the ChannelPlan:
+    // write invalidations keep device blocks for next wave's re-fill.
     dm_.arm_channels();
     ++stats_.channels_armed;
     last_ = it->second;
     dispatch(graph, it->second, prefetch);
     return;
   }
-  // A structurally new wave is not the cached shape: back to transient
-  // channels until the cache hits again (the plan is keyed to the shape).
+  // A structurally new wave is not the cached shape: stale blocks are
+  // freed again until the cache hits (the plan is keyed to the shape).
   dm_.disarm_channels();
   const ScheduleResult sched =
       schedule(opts_.scheduler, graph, num_live_workers(),
@@ -370,8 +368,7 @@ void Runtime::rollback(mpi::Rank dead) {
                                                std::memory_order_acq_rel);
   // Cached schedules were computed for the pre-failure worker set; the
   // re-ranked survivors must be scheduled fresh. The ChannelPlan goes with
-  // them: replay must run transient (and with retired channel tags) so
-  // recovery stays bitwise-identical to an unfailed run.
+  // them: it is keyed to a cached schedule.
   schedule_cache_.clear();
   dm_.disarm_channels();
 
@@ -653,7 +650,7 @@ TenantId Runtime::create_tenant(double weight) {
   TenantState& ts = tenants_[id];
   ts.stats.weight = weight > 0.0 ? weight : 1.0;
   // A new tenant changes the wave interleaving the scheduler will produce,
-  // so the pre-armed wave-shape channels are no longer the steady state.
+  // so the armed wave shape is no longer the steady state.
   dm_.disarm_channels();
   return id;
 }
@@ -1111,9 +1108,8 @@ void Runtime::failover() {
   ckpt_.rebind(events_);
   adopt_replica();
   schedule_cache_.clear();
-  // The dead head's ChannelPlan dies with it: replay runs transient, and
-  // the promoted head's channel-tag stripe is disjoint from the old one,
-  // so orphaned payloads can never match a new channel.
+  // The dead head's ChannelPlan dies with it: replay runs unarmed until
+  // the promoted head's schedule cache hits again.
   dm_.disarm_channels();
 
   // The old head is a corpse to the new event plane too: abort anything
@@ -1376,15 +1372,12 @@ RuntimeStats launch(const ClusterOptions& opts,
 
   // Every rank adds its event system's counters once its threads joined.
   EventSystemStats event_totals;
-  std::atomic<std::int64_t> cached_channels{0};
-  const auto add_event_totals = [&event_totals,
-                                 &cached_channels](EventSystem& es) {
+  const auto add_event_totals = [&event_totals](EventSystem& es) {
     es.join();
     const EventSystemStats& s = es.stats();
     event_totals.handled += s.handled.load();
     event_totals.parked += s.parked.load();
     event_totals.wakeups += s.wakeups.load();
-    cached_channels += static_cast<std::int64_t>(es.cached_channels());
   };
 
   mpi::Universe universe(uopts);
@@ -1516,7 +1509,6 @@ RuntimeStats launch(const ClusterOptions& opts,
   stats.events_handled = event_totals.handled.load();
   stats.events_parked = event_totals.parked.load();
   stats.event_wakeups = event_totals.wakeups.load();
-  stats.channel_cache_entries = cached_channels.load();
   stats.messages_sent = universe.messages_sent();
   stats.payload_copies = mpi::payload_copies() - payload_copies_before;
   stats.wall_ns = wall.elapsed_ns();

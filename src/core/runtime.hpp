@@ -100,17 +100,14 @@ struct RuntimeStats {
   // identical DAG every step; rescheduling it is pure head overhead).
   std::int64_t schedule_cache_hits = 0;  ///< waves served from the cache
 
-  // Persistent channels (the per-wave ChannelPlan; bench/fig5_halo gates
-  // these — a steady-state run must arm and then actually re-use).
+  // Allocation reuse on cached waves (the per-wave ChannelPlan;
+  // bench/fig5_halo gates these — a steady-state run must arm and then
+  // actually re-use).
   std::int64_t channels_armed = 0;       ///< waves dispatched with the plan
                                          ///< armed (schedule-cache hits)
   std::int64_t persistent_reuses = 0;    ///< device allocations re-used by
                                          ///< an armed plan instead of a
                                          ///< Delete+Alloc round-trip
-  std::int64_t channel_cache_entries = 0;  ///< channels still cached at
-                                           ///< teardown, summed over every
-                                           ///< rank: bounded by the live
-                                           ///< blocks, not by waves run
 
   // Hot-path counters (bench/micro_hotpath asserts these, not eyeballs).
   std::int64_t threads_spawned = 0;  ///< head-side pool threads created —

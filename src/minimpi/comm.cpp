@@ -100,104 +100,6 @@ void Comm::cancel(const Request& req) const {
   universe_->mailbox(rank_).cancel(req.state());
 }
 
-// --- persistent channels -------------------------------------------------
-
-PersistentRequest Comm::send_init(const void* buf, std::size_t n, Rank dst,
-                                  Tag tag) const {
-  check_user_tag(tag);
-  OMPC_CHECK_MSG(dst >= 0, "send_init needs a concrete destination rank");
-  auto state = std::make_shared<detail::RequestState>();
-  state->persistent = true;
-  state->tag = tag;
-  state->context = context_;
-  Universe* u = universe_;
-  const Rank src = rank_;
-  const ContextId ctx = context_;
-  return PersistentRequest(state, [u, state, buf, n, dst, tag, src, ctx] {
-    Envelope env;
-    env.src = src;
-    env.dst = dst;
-    env.tag = tag;
-    env.context = ctx;
-    env.payload = Payload::borrow(buf, n);
-    env.delivered = state;  // transport completes the slot when staged
-    u->post(std::move(env));
-  });
-}
-
-PersistentRequest Comm::recv_init(void* buf, std::size_t capacity, Rank src,
-                                  Tag tag) const {
-  check_user_tag(tag);
-  OMPC_CHECK_MSG(src != kAnySource,
-                 "recv_init needs a fixed source (no wildcards: the channel "
-                 "shape is pre-matched)");
-  auto state = std::make_shared<detail::RequestState>();
-  state->persistent = true;
-  state->buffer = static_cast<std::byte*>(buf);
-  state->capacity = capacity;
-  state->source = src;
-  state->tag = tag;
-  state->context = context_;
-  Universe* u = universe_;
-  const Rank me = rank_;
-  return PersistentRequest(
-      state,
-      [u, state, me, src] {
-        // execute_kill fails only ARMED slots (fail_persistent_from), so a
-        // source that died while this channel was idle must fail the arm
-        // here. The re-check after arming closes the race where the kill
-        // runs entirely between the first check and the mailbox insert:
-        // the dead flag is set before execute_kill's mailbox scan, so one
-        // of the two always observes it.
-        if (u->is_dead(src)) throw RankKilledError(src);
-        u->mailbox(me).arm_recv(state);
-        if (u->is_dead(src)) {
-          u->mailbox(me).cancel(state);
-          state->kill(src);  // no-op if real data won the race with death
-          std::lock_guard<std::mutex> lock(state->mutex);
-          if (state->killed_rank >= 0) throw RankKilledError(src);
-        }
-      },
-      [u, state, me] { u->mailbox(me).cancel(state); });
-}
-
-PersistentRequest Comm::put_init(Rank target, WindowId window,
-                                 std::uint64_t offset, const void* src,
-                                 std::size_t n,
-                                 std::shared_ptr<const void> keepalive,
-                                 Tag tag) const {
-  check_user_tag(tag);
-  // Pre-resolve the target window: a channel toward a window that does not
-  // exist is a programming error, unlike a transient put racing a window
-  // teardown (which drops-but-acks).
-  if (!universe_->windows().exists(target, window))
-    throw WindowError("put_init: unknown window id " + std::to_string(window) +
-                      " on rank " + std::to_string(target));
-  auto state = std::make_shared<detail::RequestState>();
-  state->persistent = true;
-  state->tag = tag;
-  state->context = context_;
-  Universe* u = universe_;
-  const Rank me = rank_;
-  const ContextId ctx = context_;
-  return PersistentRequest(
-      state, [u, state, me, target, window, offset, src, n,
-              keepalive = std::move(keepalive), tag, ctx] {
-        Envelope env;
-        env.src = me;
-        env.dst = target;
-        env.tag = tag;
-        env.context = ctx;
-        env.op = RmaOp::Put;
-        env.window = window;
-        env.offset = offset;
-        env.rma_size = n;
-        env.payload = keepalive ? Payload::share(keepalive, src, n)
-                                : Payload::borrow(src, n);
-        u->rma_restart(std::move(env), state);
-      });
-}
-
 // --- one-sided (RMA) ---------------------------------------------------
 
 Window Comm::win_create(WindowId id, void* base, std::size_t size) const {

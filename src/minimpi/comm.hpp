@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 
@@ -70,40 +69,6 @@ class Comm {
   /// Cancels a posted receive of THIS rank (no-op once matched); see
   /// Mailbox::cancel.
   void cancel(const Request& req) const;
-
-  // --- persistent channels (MPI_Send_init / MPI_Recv_init style) --------
-  //
-  // Fixed (peer, tag, buffer, shape) operations that iterative programs
-  // re-issue wave after wave: create once, then start()/wait() cycles
-  // re-use the pre-registered slot — no mailbox-slot allocation, no window
-  // re-resolution, no re-handshake. See PersistentRequest (request.hpp)
-  // for the lifecycle contract (implicit reclaim, sticky kills, destructor
-  // disarm).
-
-  /// Persistent send of [buf, buf+n) to (dst, tag). Each cycle borrows the
-  /// buffer zero-copy; wait() returns once the transport has staged or
-  /// delivered the bytes, i.e. the buffer is reusable.
-  PersistentRequest send_init(const void* buf, std::size_t n, Rank dst,
-                              Tag tag) const;
-
-  /// Persistent receive into [buf, buf+capacity) from (src, tag). The
-  /// shape is fixed, so wildcards are rejected (the point of the channel is
-  /// a pre-matched slot). If `src` dies while a cycle is armed — or before
-  /// the next start() — the cycle fails with RankKilledError and the
-  /// channel stays dead (sticky).
-  PersistentRequest recv_init(void* buf, std::size_t capacity, Rank src,
-                              Tag tag) const;
-
-  /// Persistent one-sided put of [src, src+n) into `target`'s pre-resolved
-  /// (window, offset). Fails fast with WindowError when the window is
-  /// unknown at creation time. `keepalive` (optional) pins the source
-  /// block across cycles (Payload::share); without it each cycle borrows
-  /// the memory (caller keeps it valid until wait()).
-  PersistentRequest put_init(Rank target, WindowId window,
-                             std::uint64_t offset, const void* src,
-                             std::size_t n,
-                             std::shared_ptr<const void> keepalive = nullptr,
-                             Tag tag = kRmaDataTag) const;
 
   // --- one-sided (RMA) -------------------------------------------------
   //

@@ -1,7 +1,6 @@
 #include "minimpi/mailbox.hpp"
 
 #include <cstring>
-#include <vector>
 
 #include "common/check.hpp"
 
@@ -42,9 +41,8 @@ void Mailbox::deliver(Envelope&& env) {
       }
     }
     if (!matched) {
-      // A borrowed payload parked here can outlive its sender's eager
-      // completion (persistent sends complete once the transport has the
-      // bytes): own the bytes before the sender's buffer becomes reusable.
+      // A borrowed payload parked here can outlive its sender's right to
+      // reuse the buffer: own the bytes before that can happen.
       env.payload.materialize();
       unexpected_.push_back(std::move(env));
       arrival_cv_.notify_all();
@@ -91,27 +89,6 @@ Request Mailbox::post_recv(void* buf, std::size_t capacity, Rank src, Tag tag,
 Status Mailbox::recv(void* buf, std::size_t capacity, Rank src, Tag tag,
                      ContextId context) {
   return post_recv(buf, capacity, src, tag, context).wait();
-}
-
-void Mailbox::arm_recv(const std::shared_ptr<detail::RequestState>& state) {
-  std::optional<Envelope> hit;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (poisoned_) throw RankKilledError(rank_);
-    for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-      if (matches(*it, state->source, state->tag, state->context)) {
-        hit = std::move(*it);
-        unexpected_.erase(it);
-        break;
-      }
-    }
-    if (!hit) {
-      posted_.push_back(state);
-      return;
-    }
-    fill(*state, *hit);
-  }
-  state->complete(status_of(*hit));
 }
 
 std::optional<Status> Mailbox::iprobe(Rank src, Tag tag, ContextId context) {
@@ -162,24 +139,6 @@ void Mailbox::poison(Rank rank) {
 bool Mailbox::poisoned() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return poisoned_;
-}
-
-void Mailbox::fail_persistent_from(Rank dead) {
-  std::vector<std::shared_ptr<detail::RequestState>> victims;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = posted_.begin(); it != posted_.end();) {
-      if ((*it)->persistent && (*it)->source == dead) {
-        victims.push_back(std::move(*it));
-        it = posted_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  // Outside the mailbox lock, like poison(); kill() is a no-op for slots
-  // that won a race with an in-flight delivery.
-  for (auto& slot : victims) slot->kill(dead);
 }
 
 }  // namespace ompc::mpi

@@ -28,14 +28,6 @@ class Mailbox {
   Request post_recv(void* buf, std::size_t capacity, Rank src, Tag tag,
                     ContextId context);
 
-  /// Re-arms a persistent receive: inserts the SAME pre-registered state
-  /// back into the matching engine (no allocation — the cached delivery
-  /// slot of the persistent fast path). The slot's buffer/source/tag were
-  /// fixed by recv_init; the caller re-armed `done` beforehand. Matches the
-  /// unexpected queue first, like post_recv. Throws RankKilledError when
-  /// this mailbox is poisoned.
-  void arm_recv(const std::shared_ptr<detail::RequestState>& state);
-
   /// Blocking receive (post + wait).
   Status recv(void* buf, std::size_t capacity, Rank src, Tag tag,
               ContextId context);
@@ -61,14 +53,6 @@ class Mailbox {
   /// probe (and any future blocking call) throws RankKilledError; arriving
   /// messages are dropped on the floor. `rank` is only used for the error.
   void poison(Rank rank);
-
-  /// Dead-rank drop path for pre-posted slots: fails every armed persistent
-  /// receive whose fixed source is `dead` (exactly like a cancelled receive
-  /// completing exceptionally). A transient posted receive keeps waiting —
-  /// its caller may legitimately re-match from another source — but a
-  /// persistent slot's source is fixed, so leaving it armed would be a
-  /// zombie that can never complete.
-  void fail_persistent_from(Rank dead);
 
   bool poisoned() const;
 

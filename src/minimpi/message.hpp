@@ -2,11 +2,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/serialize.hpp"
 #include "minimpi/payload.hpp"
-#include "minimpi/request.hpp"
 #include "minimpi/types.hpp"
 
 namespace ompc::mpi {
@@ -41,13 +39,6 @@ struct Envelope {
   std::uint64_t offset = 0;    ///< byte offset into the window (Put/Get)
   std::uint64_t op_id = 0;     ///< origin's pending-operation key
   std::uint64_t rma_size = 0;  ///< requested byte count (Get)
-
-  /// Persistent-send completion hook (never serialized; local to the
-  /// sending process). When set, the transport completes this slot once the
-  /// sender's buffer is reusable: the shm conduit after the ring staging
-  /// copy, the in-process conduit at mailbox delivery, and the dead-rank
-  /// drop path immediately (matching transient isend semantics).
-  std::shared_ptr<detail::RequestState> delivered;
 };
 
 }  // namespace ompc::mpi

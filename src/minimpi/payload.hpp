@@ -44,15 +44,12 @@ inline std::atomic<std::int64_t> g_payload_copies{0};
 inline std::atomic<std::int64_t> g_payload_copy_bytes{0};
 }  // namespace detail
 
-inline constexpr bool is_data_tag(Tag tag) noexcept {
-  return tag >= kFirstDataTag && tag <= kMaxUserTag;
-}
-
 /// Records one byte-copy of a payload travelling under `tag` (no-op for
-/// non-data tags). Called by the matching engine on delivery and by any
-/// producer that stages bytes into an owned payload.
+/// tags outside [kFirstDataTag, kMaxUserTag]). Called by the matching
+/// engine on delivery and by any producer that stages bytes into an owned
+/// payload.
 inline void note_payload_copy(Tag tag, std::size_t bytes) {
-  if (!is_data_tag(tag)) return;
+  if (tag < kFirstDataTag || tag > kMaxUserTag) return;
   detail::g_payload_copies.fetch_add(1, std::memory_order_relaxed);
   detail::g_payload_copy_bytes.fetch_add(static_cast<std::int64_t>(bytes),
                                          std::memory_order_relaxed);

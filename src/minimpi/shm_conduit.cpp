@@ -156,13 +156,6 @@ class ShmConduit final : public Conduit {
         ring_write(ring, env.payload.data(), env.payload.size());
       }
     }
-    // Persistent-send completion at ring-credit time: the staging copy is
-    // in the ring, so the sender's buffer is reusable without waiting for
-    // the drain thread — a re-armed send never re-handshakes. The
-    // ring-parsed envelope at the destination carries no completion hook.
-    if (env.delivered)
-      env.delivered->complete(Status{
-          env.src, env.tag, static_cast<std::size_t>(h.payload_size)});
   }
 
   std::int64_t submitted() const noexcept override {

@@ -51,12 +51,6 @@ void Universe::execute_kill(Rank r) {
   // fail every pending op that originates from or targets the corpse, or
   // their waiters would block forever.
   fail_rma_ops_of(r);
-  // Pre-posted persistent receives FROM the corpse on every other rank must
-  // fail like cancelled receives — their source is fixed, so no future
-  // message can ever match them (the dead-rank drop path swallows the
-  // sender's traffic). Leaving them armed would be a zombie slot.
-  for (int other = 0; other < opts_.ranks; ++other)
-    if (other != r) mailbox(other).fail_persistent_from(r);
 }
 
 void Universe::kill_rank(Rank r, std::int64_t at_ns) {
@@ -102,7 +96,8 @@ void Universe::reaper_main() {
 
 void Universe::run(const std::function<void(RankContext&)>& rank_main) {
   const int n = opts_.ranks;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
+  std::mutex error_mutex;
+  std::exception_ptr first_error;  // guarded by error_mutex
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n));
 
@@ -119,7 +114,7 @@ void Universe::run(const std::function<void(RankContext&)>& rank_main) {
   });
 
   for (int r = 0; r < n; ++r) {
-    threads.emplace_back([this, r, &rank_main, &errors] {
+    threads.emplace_back([this, n, r, &rank_main, &error_mutex, &first_error] {
       log::set_thread_label("r" + std::to_string(r));
       RankContext ctx(*this, r);
       try {
@@ -128,7 +123,17 @@ void Universe::run(const std::function<void(RankContext&)>& rank_main) {
         // A killed rank unwinding is the *intended* fault-injection
         // behaviour, not an error of the run.
       } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (first_error) return;  // the universe is already aborting
+          first_error = std::current_exception();
+        }
+        // MPI_Abort semantics: a peer blocked on this rank (a posted
+        // receive from it, an ack it owes) would wait forever, so every
+        // other rank dies and unwinds like a fault-injection kill.
+        OMPC_LOG_WARN("rank " << r << " failed; aborting every other rank");
+        for (Rank other = 0; other < n; ++other)
+          if (other != r) execute_kill(other);
       }
     });
   }
@@ -141,9 +146,7 @@ void Universe::run(const std::function<void(RankContext&)>& rank_main) {
     kill_cv_.notify_all();
   }
   reaper_.join();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void Universe::launch(const UniverseOptions& opts,
@@ -173,10 +176,6 @@ void Universe::post(Envelope&& env) {
   if (is_dead(env.src) || is_dead(env.dst)) {
     if (env.op == RmaOp::Put || env.op == RmaOp::Get)
       rma_fail(env.op_id, is_dead(env.dst) ? env.dst : env.src);
-    // A persistent send completes normally even when the bytes vanish —
-    // exactly the transient isend semantics (eager completion, silent drop).
-    if (env.delivered)
-      env.delivered->complete(Status{env.src, env.tag, env.payload.size()});
     return;
   }
   messages_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -193,18 +192,9 @@ void Universe::post(Envelope&& env) {
 
 void Universe::deliver_envelope(Envelope&& env) {
   switch (env.op) {
-    case RmaOp::None: {
-      // Persistent-send completion (in-process conduit and self-sends): the
-      // sender's buffer is reusable once the delivery fill has happened.
-      // The shm conduit completed the slot at ring staging instead, and its
-      // ring-parsed envelopes carry no hook.
-      std::shared_ptr<detail::RequestState> delivered =
-          std::move(env.delivered);
-      const Status sent{env.src, env.tag, env.payload.size()};
+    case RmaOp::None:
       mailbox(env.dst).deliver(std::move(env));
-      if (delivered) delivered->complete(sent);
       return;
-    }
     case RmaOp::Put: {
       if (is_dead(env.dst)) return;  // corpse: bytes vanish, op was failed
       // The landing copy of a put — the one copy of the (in-process) RMA
@@ -281,19 +271,6 @@ Request Universe::rma_start(Envelope&& env, std::byte* get_dst,
   // returned request can never be left hanging.
   post(std::move(env));
   return Request(std::move(state));
-}
-
-void Universe::rma_restart(Envelope&& env,
-                           const std::shared_ptr<detail::RequestState>& state) {
-  const std::uint64_t id = next_op_id_.fetch_add(1, std::memory_order_relaxed);
-  env.op_id = id;
-  {
-    std::lock_guard<std::mutex> lock(rma_mutex_);
-    pending_rma_.emplace(id, PendingRma{env.src, env.dst, state});
-  }
-  // Same completion guarantees as rma_start: post() fails the op when either
-  // end is already dead, execute_kill fails it when one dies in flight.
-  post(std::move(env));
 }
 
 void Universe::rma_complete(Envelope&& env) {

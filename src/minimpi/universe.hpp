@@ -68,8 +68,10 @@ class Universe {
   Universe(const Universe&) = delete;
   Universe& operator=(const Universe&) = delete;
 
-  /// Runs `rank_main` on every rank (one thread each), joins them all, and
-  /// rethrows the first rank exception (by rank order) if any.
+  /// Runs `rank_main` on every rank (one thread each) and joins them all.
+  /// The first rank to throw anything but a RankKilledError aborts the run
+  /// (like MPI_Abort): every other rank is killed, and that first error is
+  /// rethrown once all ranks have joined.
   void run(const std::function<void(RankContext&)>& rank_main);
 
   /// Convenience: construct + run.
@@ -120,13 +122,6 @@ class Universe {
   /// exceptionally (RankKilledError) when origin or target dies first.
   Request rma_start(Envelope&& env, std::byte* get_dst = nullptr,
                     std::size_t get_capacity = 0);
-
-  /// Persistent one-sided re-arm: registers `state` (a pre-existing,
-  /// re-armed slot) as the pending op for `env` and posts it — rma_start
-  /// without the state allocation. The slot completes exactly like a
-  /// transient put/get (ack/reply, or kill when a rank dies).
-  void rma_restart(Envelope&& env,
-                   const std::shared_ptr<detail::RequestState>& state);
 
   /// Waits for every pending one-sided op of `origin` toward `target`
   /// (kAnySource: toward anyone). Throws RankKilledError like wait().

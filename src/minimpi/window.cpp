@@ -61,11 +61,6 @@ bool WindowRegistry::read(Rank rank, WindowId id, std::uint64_t offset,
   return true;
 }
 
-bool WindowRegistry::exists(Rank rank, WindowId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return windows_.count({rank, id}) != 0;
-}
-
 std::size_t WindowRegistry::count(Rank rank) const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t n = 0;

@@ -83,11 +83,6 @@ class WindowRegistry {
 
   std::size_t count(Rank rank) const;
 
-  /// Whether (rank, id) is currently registered. Pre-resolution check for
-  /// persistent puts (Comm::put_init fails fast on an unknown target
-  /// instead of silently dropping every cycle's bytes).
-  bool exists(Rank rank, WindowId id) const;
-
  private:
   struct Region {
     std::byte* base = nullptr;

@@ -88,30 +88,6 @@ TEST(WorkerLocalCheckpoint, BuddyModeKeepsCaptureBytesOffTheHead) {
   EXPECT_EQ(rb.stats.checkpoint_bytes, rh.stats.checkpoint_bytes);
 }
 
-TEST(WorkerLocalCheckpoint, BuddyChannelCacheDoesNotGrowWithWaves) {
-  // Every buddy replica is an RmaPut, and the worker caches each RmaPut as
-  // a put channel that pins its source shadow. Commits free the shadows of
-  // dropped generations, so the channels reading them must go too: what a
-  // launch leaves cached is bounded by the live shadows, not by the waves
-  // it ran.
-  TaskBenchSpec spec = stepwise_spec(Pattern::Stencil1D);
-  spec.iterations = 0;
-  ClusterOptions opts = buddy_opts(3);
-  opts.heartbeat_period_ms = 0;
-  opts.network = {};
-
-  spec.steps = 4;
-  const auto few = taskbench::run_ompc_stepwise(spec, opts);
-  ASSERT_EQ(few.checksum, expected_checksum(spec));
-  spec.steps = 12;
-  const auto many = taskbench::run_ompc_stepwise(spec, opts);
-  ASSERT_EQ(many.checksum, expected_checksum(spec));
-
-  EXPECT_GT(many.stats.snapshot_replicas, few.stats.snapshot_replicas);
-  EXPECT_EQ(many.stats.channel_cache_entries,
-            few.stats.channel_cache_entries);
-}
-
 // --- owner dies: restore from the buddy, all 4 patterns -------------------
 
 class BuddyRecoveryAcrossPatterns : public ::testing::TestWithParam<Pattern> {

@@ -1,8 +1,8 @@
 // ChannelPlan acceptance on the 3D halo-exchange workload (src/halo): a
-// steady-state iterative app must arm persistent channels and re-use its
-// device allocations, produce results bitwise-identical to the serial
-// oracle, and survive every event that invalidates the plan — worker death
-// + rollback, head failover, and runtime join/leave — without diverging.
+// steady-state iterative app must arm the plan and re-use its device
+// allocations, produce results bitwise-identical to the serial oracle, and
+// survive every event that invalidates the plan — worker death + rollback,
+// head failover, and runtime join/leave — without diverging.
 // The _shm ctest rerun runs the same suite over the shared-memory conduit.
 #include <gtest/gtest.h>
 
@@ -79,8 +79,9 @@ TEST(Halo3D, WorkerDeathRollbackInvalidatesArmedChannels) {
 }
 
 TEST(Halo3D, HeadFailoverWithChannelsArmedStaysBitwise) {
-  // The head dies mid-run: the promoted head starts with no armed plan and
-  // a disjoint channel-tag stripe, so orphaned payloads can never match.
+  // The head dies mid-run: the promoted head starts with no armed plan, and
+  // workers match its events' data on its own rank, so the dead head's
+  // orphaned payloads can never match.
   const HaloSpec spec = small_spec(15);
   core::ClusterOptions opts = fault_opts();
   opts.kills.push_back({0, at_ms(25)});

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/time.hpp"
 #include "core/heartbeat.hpp"
 #include "minimpi/mpi.hpp"
 
@@ -174,6 +175,21 @@ TEST(Heartbeat, SingleRankRingIsNoop) {
     precise_sleep_ns(30'000'000);
     EXPECT_FALSE(ring.predecessor_failed());
     ring.stop();
+  });
+}
+
+TEST(Heartbeat, StopDoesNotWaitOutThePeriod) {
+  // stop() wakes the ring thread mid-period: every agent stop and the
+  // head's shutdown would otherwise wait up to one period per ring.
+  mpi::Universe::launch(instant(2), [](mpi::RankContext& ctx) {
+    HeartbeatRing::Options opts;
+    opts.period_ms = 2'000;
+    opts.timeout_ms = 20'000;
+    HeartbeatRing ring(ctx.world().dup(), opts, nullptr);
+    precise_sleep_ns(20'000'000);  // the ring thread is mid-period now
+    const Stopwatch stopping;
+    ring.stop();
+    EXPECT_LT(stopping.elapsed_ms(), 200.0);
   });
 }
 

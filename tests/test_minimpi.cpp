@@ -416,6 +416,22 @@ TEST(MiniMpiErrors, RankExceptionPropagates) {
                std::runtime_error);
 }
 
+TEST(MiniMpiErrors, RankErrorAbortsPeersBlockedOnIt) {
+  // Rank 2 fails while every other rank waits for a message that only it
+  // could have sent: the error must kill the waiters (MPI_Abort), and
+  // launch() must rethrow that error, not a peer's consequent kill.
+  try {
+    Universe::launch(instant(4), [](RankContext& ctx) {
+      if (ctx.rank() == 2) throw std::runtime_error("rank 2 failed");
+      int v = 0;
+      ctx.world().recv(&v, sizeof v, kAnySource, 3);
+    });
+    FAIL() << "launch() returned although rank 2 threw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 2 failed");
+  }
+}
+
 TEST(MiniMpiErrors, UserTagRangeEnforced) {
   Universe::launch(instant(1), [](RankContext& ctx) {
     Comm comm = ctx.world();
@@ -552,109 +568,6 @@ TEST_P(MiniMpiConduit, ConduitNameMatchesSelection) {
   EXPECT_STREQ(u.conduit_name(), to_string(GetParam()));
 }
 
-// --- persistent (pre-posted) channels ------------------------------------
-
-TEST_P(MiniMpiConduit, PersistentChannelRearmsBitwiseIdentical) {
-  // One send_init/recv_init pair cycled many times: every cycle must
-  // deliver exactly the bytes of that cycle (no stale slot, no cross-cycle
-  // mixing) and the reuse counter must track completed cycles.
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    constexpr int kCycles = 16;
-    constexpr std::size_t kWords = 32;
-    std::array<std::uint64_t, kWords> buf{};
-    if (ctx.rank() == 0) {
-      PersistentRequest send = comm.send_init(buf.data(), sizeof buf, 1, 21);
-      for (int cyc = 0; cyc < kCycles; ++cyc) {
-        for (std::size_t i = 0; i < kWords; ++i)
-          buf[i] = static_cast<std::uint64_t>(cyc) * 1000 + i;
-        send.start();
-        send.wait();  // transport staged the bytes: buffer reusable
-      }
-      EXPECT_EQ(send.cycles(), kCycles);
-    } else {
-      PersistentRequest recv = comm.recv_init(buf.data(), sizeof buf, 0, 21);
-      for (int cyc = 0; cyc < kCycles; ++cyc) {
-        recv.start();
-        const Status st = recv.wait();
-        EXPECT_EQ(st.source, 0);
-        EXPECT_EQ(st.tag, 21);
-        EXPECT_EQ(st.count, sizeof buf);
-        for (std::size_t i = 0; i < kWords; ++i)
-          EXPECT_EQ(buf[i], static_cast<std::uint64_t>(cyc) * 1000 + i);
-      }
-      EXPECT_EQ(recv.cycles(), kCycles);
-    }
-  });
-}
-
-TEST_P(MiniMpiConduit, PersistentMisuseIsALogicError) {
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    if (ctx.rank() == 1) {
-      int v = 0;
-      // Fixed shape is the point of the channel: wildcards are rejected.
-      EXPECT_THROW(comm.recv_init(&v, sizeof v, kAnySource, 5), CheckError);
-      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 5);
-      EXPECT_THROW(recv.wait(), std::logic_error);  // wait before start
-      recv.start();
-      // Re-start while the armed cycle is genuinely in flight (the sender
-      // has not been signalled yet) is a missing wait().
-      EXPECT_THROW(recv.start(), std::logic_error);
-      comm.send(nullptr, 0, 0, 6);  // now ask for the payload
-      const Status st = recv.wait();
-      EXPECT_EQ(v, 77);
-      EXPECT_EQ(st.count, sizeof v);
-      EXPECT_EQ(recv.cycles(), 1);
-    } else {
-      comm.recv(nullptr, 0, 1, 6);
-      const int v = 77;
-      comm.send(&v, sizeof v, 1, 5);
-    }
-  });
-}
-
-TEST_P(MiniMpiConduit, KillWhilePersistentRecvArmedFailsTheCycle) {
-  // A rank death must fail an armed persistent receive like a cancelled
-  // receive — never leave a zombie pre-posted slot — and the channel stays
-  // dead (sticky) for subsequent start() calls.
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    if (ctx.rank() == 1) {
-      int v = 0;
-      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 9);
-      recv.start();
-      ctx.universe().kill_rank(0, 0);
-      while (!ctx.universe().is_dead(0))
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      try {
-        recv.wait();
-        FAIL() << "an armed receive from a corpse must not complete";
-      } catch (const RankKilledError& e) {
-        EXPECT_EQ(e.rank(), 0);
-      }
-      EXPECT_THROW(recv.start(), RankKilledError);  // sticky
-    }
-    // Rank 0's thread unwinds via its poisoned mailbox.
-  });
-}
-
-TEST_P(MiniMpiConduit, RecvInitFromDeadRankFailsOnStart) {
-  // Arming toward an already-dead peer fails the pending start() instead
-  // of parking a slot no send can ever match.
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    if (ctx.rank() == 1) {
-      ctx.universe().kill_rank(0, 0);
-      while (!ctx.universe().is_dead(0))
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      int v = 0;
-      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 9);
-      EXPECT_THROW(recv.start(), RankKilledError);
-    }
-  });
-}
-
 // --- completion hooks ----------------------------------------------------
 //
 // Hooks fire on the delivering thread, after waiters were released, so the
@@ -728,44 +641,6 @@ TEST_P(MiniMpiConduit, CompletionHookNeverFiresAfterCancel) {
     }
   });
   EXPECT_EQ(fired.load(), 0);
-}
-
-TEST_P(MiniMpiConduit, CompletionHookFiresOncePerPersistentCycle) {
-  constexpr int kCycles = 16;
-  std::atomic<int> recv_fired{0};
-  std::atomic<int> put_fired{0};
-  Universe::launch(opts(2), [&](RankContext& ctx) {
-    Comm comm = ctx.world();
-    int v = 0;
-    if (ctx.rank() == 1) {
-      std::array<int, 4> region{};
-      Window win = comm.win_create(41, region.data(), sizeof region);
-      comm.send(nullptr, 0, 0, 1);  // window is up
-      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 21);
-      for (int cyc = 0; cyc < kCycles; ++cyc) {
-        recv.start();
-        recv.state()->on_complete([&] { recv_fired.fetch_add(1); });
-        comm.send(nullptr, 0, 0, 2);  // armed: send this cycle's value
-        recv.wait();
-        EXPECT_EQ(v, cyc);
-      }
-      comm.recv(nullptr, 0, 0, 3);  // the puts are done with the window
-    } else {
-      comm.recv(nullptr, 0, 1, 1);
-      PersistentRequest put = comm.put_init(1, 41, 0, &v, sizeof v);
-      for (int cyc = 0; cyc < kCycles; ++cyc) {
-        comm.recv(nullptr, 0, 1, 2);
-        v = cyc;
-        comm.send(&v, sizeof v, 1, 21);
-        put.start();
-        put.state()->on_complete([&] { put_fired.fetch_add(1); });
-        put.wait();
-      }
-      comm.send(nullptr, 0, 1, 3);
-    }
-  });
-  EXPECT_EQ(recv_fired.load(), kCycles);
-  EXPECT_EQ(put_fired.load(), kCycles);
 }
 
 TEST_P(MiniMpiConduit, CompletionHookFiresOnceWhenCompleteRacesKill) {

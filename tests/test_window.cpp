@@ -244,89 +244,6 @@ TEST_P(WindowConduit, WindowCountTracksRegistrations) {
   });
 }
 
-// --- persistent (pre-armed) one-sided puts -------------------------------
-
-TEST_P(WindowConduit, PutInitRearmsAndLandsEachCycle) {
-  // One put_init cycled many times into the same pre-resolved window:
-  // every cycle's bytes must land before wait() returns, with no slot
-  // re-registration between cycles.
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    constexpr int kCycles = 8;
-    if (ctx.rank() == 1) {
-      std::array<int, 4> region{};
-      Window win = comm.win_create(33, region.data(), sizeof region);
-      comm.send(nullptr, 0, 0, 1);  // window is up
-      for (int cyc = 0; cyc < kCycles; ++cyc) {
-        comm.recv(nullptr, 0, 0, 2);  // cycle flushed
-        for (int i = 0; i < 4; ++i)
-          EXPECT_EQ(region[static_cast<std::size_t>(i)], cyc * 10 + i);
-        comm.send(nullptr, 0, 0, 3);  // checked, go again
-      }
-    } else {
-      comm.recv(nullptr, 0, 1, 1);
-      std::array<int, 4> vals{};
-      PersistentRequest put =
-          comm.put_init(1, 33, 0, vals.data(), sizeof vals);
-      for (int cyc = 0; cyc < kCycles; ++cyc) {
-        for (int i = 0; i < 4; ++i)
-          vals[static_cast<std::size_t>(i)] = cyc * 10 + i;
-        put.start();
-        put.wait();  // remote completion: the bytes have landed
-        comm.send(nullptr, 0, 1, 2);
-        comm.recv(nullptr, 0, 1, 3);
-      }
-      EXPECT_EQ(put.cycles(), kCycles);
-    }
-  });
-}
-
-TEST_P(WindowConduit, PutInitToUnknownWindowFailsFast) {
-  // Unlike a transient put (dropped-but-acked), a persistent channel to a
-  // window that does not exist is a setup error — fail at creation, not
-  // silently on every cycle.
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    if (ctx.rank() == 0) {
-      int v = 0;
-      EXPECT_THROW(comm.put_init(1, 999, 0, &v, sizeof v), WindowError);
-    }
-  });
-}
-
-TEST_P(WindowConduit, KilledTargetFailsPersistentPutCycles) {
-  // The target dies after the channel is created: the next cycle completes
-  // exceptionally (like a transient put toward a corpse) and the channel
-  // stays dead for subsequent start() calls.
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    if (ctx.rank() == 0) {
-      comm.recv(nullptr, 0, 1, 1);  // window is up
-      int v = 5;
-      PersistentRequest put = comm.put_init(1, 11, 0, &v, sizeof v);
-      ctx.universe().kill_rank(1, 0);
-      while (!ctx.universe().is_dead(1))
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      try {
-        put.start();
-        put.wait();
-        FAIL() << "a put cycle toward a dead rank must not complete";
-      } catch (const RankKilledError& e) {
-        EXPECT_EQ(e.rank(), 1);
-      }
-      EXPECT_THROW(put.start(), RankKilledError);  // sticky
-    } else {
-      std::array<int, 4> region{};
-      Window win = comm.win_create(11, region.data(), sizeof region);
-      comm.send(nullptr, 0, 0, 1);
-      // Keep the window registered until the kill lands (RAII would
-      // unregister it the moment this body returns).
-      while (!ctx.universe().is_dead(1))
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(Conduits, WindowConduit,
                          ::testing::Values(ConduitKind::InProcess,
                                            ConduitKind::Shm),
